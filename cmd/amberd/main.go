@@ -90,12 +90,19 @@ func metricFamilies(tr *transport.TCP, node *core.Node) []stats.Family {
 }
 
 // extraMetrics are process-wide gauges that live outside any stats set: the
-// wire codec's gob-fallback count, the sharded object space's aggregate
-// counters (descriptor/hint population, stripe lock contention, evictions),
-// instantaneous run-queue depths, heat-table occupancy, trace-ring fill, and
-// the flight recorder's trigger counters.
+// wire codec's gob-fallback count and buffer-pool ledger, the sharded object
+// space's aggregate counters (descriptor/hint population, stripe lock
+// contention, evictions), instantaneous run-queue depths, heat-table
+// occupancy, trace-ring fill, and the flight recorder's trigger counters.
 func extraMetrics(node *core.Node) []stats.ExtraMetric {
-	out := []stats.ExtraMetric{{Name: "wire_gob_fallbacks", Value: wire.GobFallbacks()}}
+	buf := wire.BufLedger()
+	out := []stats.ExtraMetric{
+		{Name: "wire_gob_fallbacks", Value: wire.GobFallbacks()},
+		{Name: "wire_buf_gets", Value: buf.Gets},
+		{Name: "wire_buf_puts", Value: buf.Puts},
+		{Name: "wire_buf_news", Value: buf.News},
+		{Name: "wire_buf_oversize", Value: buf.Oversize},
+	}
 	out = append(out, stats.MapMetrics("objspace_", node.SpaceStats())...)
 	slots, overflow := node.Scheduler().QueueDepths()
 	for i, d := range slots {

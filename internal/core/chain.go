@@ -60,33 +60,47 @@ func substituteChainPrev(args, prev []any) []any {
 	return out
 }
 
-// chainStepWire is ChainStep's wire form (args pre-marshalled).
+// chainStepWire is ChainStep's wire form. A step decoded from the wire
+// carries its encoded Args; a step built from a ChainStep carries ArgVals
+// (set when non-nil, see vals), encoded in place.
 type chainStepWire struct {
-	Obj    gaddr.Addr
-	Method string
-	Args   []byte
+	Obj     gaddr.Addr
+	Method  string
+	Args    []byte
+	ArgVals []any
 }
 
 // chainMsg rides routedMsg.Args for opChain: the remaining steps plus the
 // previous step's results (for ChainPrev substitution at the next executor).
+// Prev is the decode side; PrevVals, the encode side, is always what is sent.
 type chainMsg struct {
-	Steps []chainStepWire
-	Prev  []byte
+	Steps    []chainStepWire
+	Prev     []byte
+	PrevVals []any
 }
 
-// AppendWire implements wire.Codec.
-func (m *chainMsg) AppendWire(b []byte) []byte {
+// AppendWireErr implements wire.FallibleCodec; routedMsg.AppendWireErr
+// nests the chain in place (wire.AppendMarshalled).
+func (m *chainMsg) AppendWireErr(b []byte) ([]byte, error) {
 	b = wire.AppendUvarint(b, uint64(len(m.Steps)))
+	var err error
 	for _, s := range m.Steps {
 		b = wire.AppendUvarint(b, uint64(s.Obj))
 		b = wire.AppendString(b, s.Method)
-		b = wire.AppendBytes(b, s.Args)
+		if s.ArgVals != nil {
+			if b, err = wire.AppendArgsPrefixed(b, s.ArgVals); err != nil {
+				return nil, err
+			}
+		} else {
+			b = wire.AppendBytes(b, s.Args)
+		}
 	}
-	return wire.AppendBytes(b, m.Prev)
+	return wire.AppendArgsPrefixed(b, m.PrevVals)
 }
 
-// DecodeWire implements wire.Codec. Step args and Prev alias b; the executor
-// decodes values out of them before the enclosing payload is recycled.
+// DecodeWire implements wire.FallibleCodec. Step args and Prev alias b; the
+// executor decodes values out of them before the enclosing payload is
+// recycled.
 func (m *chainMsg) DecodeWire(b []byte) ([]byte, error) {
 	var err error
 	var cnt uint64
@@ -210,24 +224,13 @@ func (n *Node) chainInvoke(c *Ctx, steps []ChainStep, o callOpts) ([]any, error)
 // whichever node executes the last step sends back.
 func (n *Node) shipChain(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID, o callOpts) ([]any, error) {
 	start := time.Now()
-	cm := chainMsg{Steps: make([]chainStepWire, len(steps))}
+	// The steps' arguments, the previous results and the chain itself are
+	// all encoded in place, into the one routed message buffer.
+	cm := chainMsg{Steps: make([]chainStepWire, len(steps)), PrevVals: prev}
 	for i, s := range steps {
-		ab, err := wire.MarshalArgs(s.Args)
-		if err != nil {
-			return nil, err
-		}
-		cm.Steps[i] = chainStepWire{Obj: s.Obj, Method: s.Method, Args: ab}
+		cm.Steps[i] = chainStepWire{Obj: s.Obj, Method: s.Method, ArgVals: vals(s.Args)}
 	}
-	pb, err := wire.MarshalArgs(prev)
-	if err != nil {
-		return nil, err
-	}
-	cm.Prev = pb
-	cmBody, err := wire.MarshalInto(&cm)
-	if err != nil {
-		return nil, err
-	}
-	msg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: c.rec, Args: cmBody,
+	msg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: c.rec, chain: &cm,
 		Chain: []gaddr.NodeID{n.id}}
 	body, err := wire.MarshalInto(&msg)
 	if err != nil {
@@ -241,6 +244,7 @@ func (n *Node) shipChain(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID,
 	var resp []byte
 	var rerr error
 	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, ti, o) })
+	wire.PutBuf(body) // the rpc layer sent a copy
 	elapsed := time.Since(start)
 	n.histRemote.Observe(elapsed)
 	if ti.TraceID != 0 {
@@ -316,14 +320,14 @@ func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 		prev = res
 		steps = steps[1:]
 		if len(steps) == 0 {
-			rb, err := wire.MarshalArgs(prev)
+			ir := invokeReply{ResultVals: prev, Node: n.id, Epoch: epoch}
+			body, err := wire.MarshalInto(&ir)
 			if err != nil {
-				rc.Reply(nil, err)
+				rc.Reply(nil, err) // a result value the codec cannot carry
 				return nil
 			}
-			ir := invokeReply{Results: rb, Node: n.id, Epoch: epoch}
-			body, err := wire.MarshalInto(&ir)
-			rc.Reply(body, err)
+			rc.Reply(body, nil)
+			wire.PutBuf(body) // Reply sent a copy
 			n.sendChainUpdates(step.Obj, epoch, msg.Chain, rc.Origin)
 			return nil
 		}
@@ -357,19 +361,9 @@ func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 					return nil
 				}
 				n.ep.WatchPeer(to)
-				pb, merr := wire.MarshalArgs(prev)
-				if merr != nil {
-					rc.Reply(nil, merr)
-					return nil
-				}
-				ncm := chainMsg{Steps: steps, Prev: pb}
-				cmBody, merr := wire.MarshalInto(&ncm)
-				if merr != nil {
-					rc.Reply(nil, merr)
-					return nil
-				}
+				ncm := chainMsg{Steps: steps, PrevVals: prev}
 				fmsg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: tc.rec,
-					Args: cmBody, Chain: append(msg.Chain, n.id)}
+					chain: &ncm, Chain: append(msg.Chain, n.id)}
 				fbody, merr := wire.MarshalInto(&fmsg)
 				if merr != nil {
 					rc.Reply(nil, merr)
@@ -379,6 +373,7 @@ func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 				if ferr := rc.Forward(to, procRouted, fbody); ferr != nil {
 					n.counts.Inc("forward_failed")
 				}
+				wire.PutBuf(fbody) // Forward sent a copy
 				return nil
 			}
 			break

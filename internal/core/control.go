@@ -268,6 +268,7 @@ func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, o callOpts) 
 	var resp []byte
 	var rerr error
 	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, rpc.TraceInfo{}, o) })
+	wire.PutBuf(body) // the rpc layer sent a copy
 	if rerr != nil {
 		return nil, mapRemoteError(rerr)
 	}

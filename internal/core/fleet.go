@@ -91,6 +91,7 @@ func (n *Node) handleStatsPull(rc *rpc.Ctx) {
 	}
 	body, err := wire.MarshalInto(&statsPullReply{Stats: n.localStats(req.TopN)})
 	rc.Reply(body, err)
+	wire.PutBuf(body)
 }
 
 // pullPeerStats fetches one peer's NodeStats with a bounded timeout (a fleet
@@ -105,6 +106,7 @@ func (n *Node) pullPeerStats(p gaddr.NodeID, topN int) (NodeStats, error) {
 		timeout = 5 * time.Second
 	}
 	resp, err := n.ep.CallTimeout(p, procStatsPull, body, timeout)
+	wire.PutBuf(body)
 	if err != nil {
 		return NodeStats{}, err
 	}

@@ -117,7 +117,7 @@ type futureCall struct {
 	rec    ThreadRec
 	obj    gaddr.Addr
 	method string
-	args   []byte // wire.MarshalArgs encoding (retries re-use it)
+	body   []byte // the routed request, encoded once; every attempt sends it
 	o      callOpts
 	to     gaddr.NodeID
 	ti     rpc.TraceInfo
@@ -153,7 +153,17 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 		n.counts.Inc("async_invokes_local")
 		go n.runAsyncLocal(d, rec, obj, method, args, o.readOnly, f)
 	case actForward:
-		ab, merr := wire.MarshalArgs(args)
+		// Encoded now, while the caller's arguments are as they were at the
+		// call; the buffer lives until the call ends (fc.release). Encoded
+		// from a copy so the local path's msg never escapes to the heap.
+		smsg := msg
+		smsg.ArgVals = vals(args)
+		smsg.Chain = []gaddr.NodeID{n.id}
+		if n.replicaOn {
+			smsg.SnapMax = n.replicaMax
+			smsg.Flags |= rmFlagLeaseOK
+		}
+		body, merr := wire.MarshalInto(&smsg)
 		if merr != nil {
 			f.complete(nil, merr)
 			return f
@@ -176,7 +186,7 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 		if n.tracer.OnFor(rec.ID) {
 			ti = rpc.TraceInfo{TraceID: rec.ID}
 		}
-		fc := &futureCall{f: f, rec: rec, obj: obj, method: method, args: ab, o: o,
+		fc := &futureCall{f: f, rec: rec, obj: obj, method: method, body: body, o: o,
 			to: to, ti: ti, idem: idem, timeout: timeout, backoff: o.retry.Backoff,
 			start: time.Now()}
 		n.pipeFor(to).enqueue(c, fc)
@@ -219,14 +229,15 @@ func (n *Node) asyncDispatch(fc *futureCall) {
 	d, act, to, err := n.resolve(&msg)
 	switch act {
 	case actError:
-		fc.f.complete(nil, err)
+		fc.finish(nil, err)
 	case actExecute:
-		args, uerr := wire.UnmarshalArgsScratch(fc.args)
+		args, uerr := fc.args()
 		if uerr != nil {
 			n.unpin(d)
-			fc.f.complete(nil, uerr)
+			fc.finish(nil, uerr)
 			return
 		}
+		fc.release() // runAsyncLocal completes the future
 		n.runAsyncLocal(d, fc.rec, fc.obj, fc.method, args, fc.o.readOnly, fc.f)
 		wire.PutArgs(args)
 	case actForward:
@@ -240,21 +251,6 @@ func (n *Node) asyncDispatch(fc *futureCall) {
 // releases it. NoFlush batches the burst — the drain loop kicks one flush
 // when it finishes issuing.
 func (n *Node) issueAsync(fc *futureCall) {
-	msg := routedMsg{Op: opInvoke, Obj: fc.obj, Thread: fc.rec, Method: fc.method, Args: fc.args}
-	msg.Chain = append(msg.Chain, n.id)
-	if fc.o.readOnly {
-		msg.Flags |= rmFlagReadOnly
-	}
-	if n.replicaOn {
-		msg.SnapMax = n.replicaMax
-		msg.Flags |= rmFlagLeaseOK
-	}
-	body, err := wire.MarshalInto(&msg)
-	if err != nil {
-		n.pipeFor(fc.to).release()
-		fc.f.complete(nil, err)
-		return
-	}
 	n.counts.Inc("invokes_shipped")
 	ao := rpc.AsyncOpts{
 		Timeout:      fc.timeout,
@@ -264,7 +260,7 @@ func (n *Node) issueAsync(fc *futureCall) {
 		NoFlush:      true,
 	}
 	to := fc.to
-	n.ep.StartCall(to, procRouted, body, ao, func(resp []byte, rerr error) {
+	n.ep.StartCall(to, procRouted, fc.body, ao, func(resp []byte, rerr error) {
 		n.asyncComplete(fc, to, resp, rerr)
 	})
 }
@@ -282,7 +278,7 @@ func (n *Node) asyncComplete(fc *futureCall, to gaddr.NodeID, resp []byte, rerr 
 	var ir invokeReply
 	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
 		wire.PutBuf(resp)
-		fc.f.complete(nil, err)
+		fc.finish(nil, err)
 		return
 	}
 	n.counts.Inc("return_checks")
@@ -311,7 +307,32 @@ func (n *Node) asyncComplete(fc *futureCall, to gaddr.NodeID, resp []byte, rerr 
 	if fc.ti.TraceID != 0 {
 		n.exRemote.Note(elapsed, fc.ti.TraceID)
 	}
-	fc.f.complete(out, err)
+	fc.finish(out, err)
+}
+
+// release returns the call's encoded request to the pool. Every path that
+// ends a call runs it exactly once, and no attempt is in flight by then
+// (rpc.StartCall is done with the body before its outcome can fire).
+func (fc *futureCall) release() {
+	wire.PutBuf(fc.body)
+	fc.body = nil
+}
+
+// finish ends the call with an outcome: release, then complete the future.
+func (fc *futureCall) finish(res []any, err error) {
+	fc.release()
+	fc.f.complete(res, err)
+}
+
+// args decodes the argument vector back out of the encoded request, for a
+// call whose object turned out to be resident here between attempts. The
+// vector comes from the scratch pool (wire.PutArgs).
+func (fc *futureCall) args() ([]any, error) {
+	var m routedMsg
+	if err := wire.UnmarshalFrom(fc.body, &m); err != nil {
+		return nil, err
+	}
+	return wire.UnmarshalArgsScratch(m.Args)
 }
 
 // asyncFail routes a failed attempt through the same recovery ladder as the
@@ -355,7 +376,7 @@ func (n *Node) asyncFail(fc *futureCall, to gaddr.NodeID, err error) {
 	}
 	ro := rpc.CallOpts{Timeout: fc.timeout, MaxAttempts: fc.o.retry.MaxAttempts}
 	n.noteCallAnomaly(to, procRouted, ro, err)
-	fc.f.complete(nil, err)
+	fc.finish(nil, err)
 }
 
 // --- per-peer request pipeline ---

@@ -256,11 +256,8 @@ func staleRouteError(err error) bool {
 // present on this node during that window.
 func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o callOpts) ([]any, error) {
 	start := time.Now()
-	ab, err := wire.MarshalArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	msg.Args = ab
+	// The arguments are encoded in place, inside the message's own buffer.
+	msg.ArgVals = vals(args)
 	msg.Thread = c.rec // pins travel with the thread (§3.5)
 	msg.Chain = append(msg.Chain, n.id)
 	if msg.Op == opInvoke && n.replicaOn {
@@ -287,6 +284,7 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 	var resp []byte
 	var rerr error
 	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, ti, o) })
+	wire.PutBuf(body) // the rpc layer sent a copy
 	elapsed := time.Since(start)
 	n.histRemote.Observe(elapsed)
 	if ti.TraceID != 0 {
@@ -542,6 +540,7 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 			if ferr := rc.Forward(to, procRouted, body); ferr != nil {
 				n.counts.Inc("forward_failed")
 			}
+			wire.PutBuf(body) // Forward sent a copy
 			return
 		}
 	}
@@ -628,17 +627,12 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 			n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
 			return nil
 		}
-		rb, err := wire.MarshalArgs(results)
-		if err != nil {
-			rc.Reply(nil, err)
-			return nil
-		}
 		// Read-path replication (§2.3): if the origin asked for a snapshot and
 		// the object is immutable, piggyback its encoding on this reply so the
 		// origin installs a local replica in the same round trip. The mutable
 		// generalization: a read-only invoke on a cacheable object piggybacks
 		// a reader lease instead (state + epoch + lifetime).
-		ir := invokeReply{Results: rb, Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
+		ir := invokeReply{ResultVals: results, Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
 		if msg.SnapMax > 0 && ir.Immutable {
 			ir.SnapType, ir.SnapState = n.replicaSnapshot(d, msg.SnapMax)
 		} else if grantable {
@@ -648,7 +642,12 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 			}
 		}
 		body, err := wire.MarshalInto(&ir)
-		rc.Reply(body, err)
+		if err != nil {
+			rc.Reply(nil, err) // a result value the codec cannot carry
+			return nil
+		}
+		rc.Reply(body, nil)
+		wire.PutBuf(body) // Reply sent a copy
 		n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
 		return nil
 
@@ -660,6 +659,7 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 		d.Unlock()
 		body, err := wire.MarshalInto(&rep)
 		rc.Reply(body, err)
+		wire.PutBuf(body)
 		n.counts.Inc("locates_answered")
 		n.sendChainUpdates(msg.Obj, rep.Epoch, msg.Chain, rc.Origin)
 		return nil
@@ -671,6 +671,7 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 		}
 		body, err := wire.MarshalInto(&rep)
 		rc.Reply(body, err)
+		wire.PutBuf(body)
 		return nil
 
 	case opSetImmutable:
@@ -705,7 +706,9 @@ func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 			if merr != nil {
 				return merr
 			}
-			return rc.Forward(fwd, procRouted, body)
+			ferr := rc.Forward(fwd, procRouted, body)
+			wire.PutBuf(body)
+			return ferr
 		}
 		rc.Reply(nil, nil)
 		return nil

@@ -219,6 +219,7 @@ func (n *Node) leaseRevokeRound(obj gaddr.Addr, epoch uint64, src gaddr.NodeID, 
 			defer wg.Done()
 			n.counts.Inc("lease_invalidations_sent")
 			resp, err := n.ep.CallTimeout(peer, procLease, body, timeout)
+			wire.PutBuf(body)
 			if err != nil {
 				n.counts.Inc("lease_fence_timeouts")
 				return

@@ -194,7 +194,9 @@ func (n *Node) installRemote(dest gaddr.NodeID, msg *installMsg) error {
 	if err != nil {
 		return err
 	}
-	_, err = n.call(dest, procInstall, body)
+	resp, err := n.call(dest, procInstall, body)
+	wire.PutBuf(body)
+	wire.PutBuf(resp)
 	return err
 }
 
@@ -736,6 +738,7 @@ func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
 				return gaddr.NoNode, false, merr
 			}
 			resp, cerr := n.call(to, procRouted, body)
+			wire.PutBuf(body)
 			if cerr != nil {
 				return gaddr.NoNode, false, mapRemoteError(cerr)
 			}

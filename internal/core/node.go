@@ -386,6 +386,7 @@ func (n *Node) handleTraceDump(rc *rpc.Ctx) {
 	}
 	body, err := wire.MarshalInto(&traceDumpReply{Events: n.tracer.Last(req.Last)})
 	rc.Reply(body, err)
+	wire.PutBuf(body)
 }
 
 // collectPeerTrace fetches one peer's buffered events over RPC and shifts
@@ -403,6 +404,7 @@ func (n *Node) collectPeerTrace(p gaddr.NodeID, last int) ([]trace.Event, error)
 		timeout = 5 * time.Second
 	}
 	resp, err := n.ep.CallTimeout(p, procTraceDump, body, timeout)
+	wire.PutBuf(body)
 	if err != nil {
 		return nil, fmt.Errorf("amber: trace dump from node %d: %w", p, err)
 	}
@@ -539,6 +541,7 @@ func (n *Node) requestRegions(count int) ([]gaddr.Region, error) {
 		return nil, err
 	}
 	resp, err := n.call(n.cfg.ServerNode, procRegion, body)
+	wire.PutBuf(body)
 	if err != nil {
 		return nil, err
 	}
@@ -573,6 +576,7 @@ func (n *Node) resolveRegion(r gaddr.Region) gaddr.NodeID {
 		return gaddr.NoNode
 	}
 	resp, err := n.call(n.cfg.ServerNode, procRegion, body)
+	wire.PutBuf(body)
 	if err != nil {
 		return gaddr.NoNode
 	}
@@ -604,6 +608,7 @@ func (n *Node) handleRegion(c *rpc.Ctx) {
 	}
 	body, err := wire.MarshalInto(&rr)
 	c.Reply(body, err)
+	wire.PutBuf(body)
 }
 
 // call performs an internode request honouring the node's RPC timeout.
@@ -729,23 +734,24 @@ func (n *Node) handleLocUpdate(c *rpc.Ctx) {
 // location is cached on all nodes along the chain"). The origin is excluded:
 // it learns the location from the reply itself.
 func (n *Node) sendChainUpdates(obj gaddr.Addr, epoch uint64, chain []gaddr.NodeID, origin gaddr.NodeID) {
-	if len(chain) == 0 {
-		return
-	}
+	var body []byte
 	for _, hop := range chain {
 		if hop == n.id || hop == origin {
 			continue
 		}
-		// A fresh buffer per hop: the transport takes ownership of each
-		// payload it sends, so one buffer cannot fan out to several peers.
-		body, err := wire.MarshalInto(&locUpdateMsg{Obj: obj, Node: n.id, Epoch: epoch})
-		if err != nil {
-			return
+		if body == nil {
+			// One encoding serves every hop: Oneway copies it into each
+			// message's own envelope.
+			var err error
+			if body, err = wire.MarshalInto(&locUpdateMsg{Obj: obj, Node: n.id, Epoch: epoch}); err != nil {
+				return
+			}
 		}
 		if n.ep.Oneway(hop, procLocUpdate, body) == nil {
 			n.counts.Inc("chain_updates_sent")
 		}
 	}
+	wire.PutBuf(body)
 }
 
 // homeOf computes an object's home node from its address alone (§3.3).

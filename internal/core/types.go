@@ -230,9 +230,16 @@ type routedMsg struct {
 	Op     routedOp
 	Obj    gaddr.Addr
 	Thread ThreadRec
-	// Method and Args apply to opInvoke.
+	// Method and Args apply to opInvoke; an opChain carries its chainMsg in
+	// Args. Decoded Args alias the request payload.
 	Method string
 	Args   []byte
+	// ArgVals and chain are the encode side of Args: when one is set,
+	// AppendWireErr encodes it straight into the message's own buffer
+	// instead of copying in a separately marshalled Args. The bytes on the
+	// wire are the same. ArgVals counts as set when non-nil (see vals).
+	ArgVals []any
+	chain   *chainMsg
 	// Dest applies to opMove (target node), opAttach (parent object is in
 	// Peer), opUnattach (peer in Peer).
 	Dest gaddr.NodeID
@@ -265,7 +272,10 @@ const (
 
 // invokeReply is the wire form of an invocation result.
 type invokeReply struct {
-	Results []byte
+	// Results is the decoded result vector's encoding (aliasing the reply
+	// payload); ResultVals is the encode side, appended in place.
+	Results    []byte
+	ResultVals []any
 	// Node is the node that executed, so the caller can update its cache.
 	Node gaddr.NodeID
 	// Epoch is the object's residency version at execution time; location
@@ -400,8 +410,9 @@ type regionReply struct {
 //
 // The routed-operation protocol is the hot path of the whole system: every
 // remote invocation, locate, and move crosses the wire as one of the structs
-// below. They implement wire.Codec so MarshalInto/UnmarshalFrom bypass gob
-// and its per-message type descriptors. installMsg/snapshot deliberately stay
+// below. They implement wire.Codec (wire.FallibleCodec for the two that carry
+// argument or result vectors) so MarshalInto/UnmarshalFrom bypass gob and its
+// per-message type descriptors. installMsg/snapshot deliberately stay
 // on the gob fallback: installs are the bulk path, carry arbitrary user state
 // anyway, and exercise the fallback in production.
 
@@ -451,13 +462,38 @@ func (t *ThreadRec) decodeWire(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// AppendWire implements wire.Codec.
-func (m *routedMsg) AppendWire(b []byte) []byte {
+// noVals is the set-but-empty value vector: a nil vector would read as
+// "not set" where an encode-side field falls back to pre-encoded bytes.
+var noVals = []any{}
+
+// vals returns v as a set encode-side vector.
+func vals(v []any) []any {
+	if v == nil {
+		return noVals
+	}
+	return v
+}
+
+// AppendWireErr implements wire.FallibleCodec.
+func (m *routedMsg) AppendWireErr(b []byte) ([]byte, error) {
 	b = append(b, byte(m.Op))
 	b = wire.AppendUvarint(b, uint64(m.Obj))
 	b = m.Thread.appendWire(b)
 	b = wire.AppendString(b, m.Method)
-	b = wire.AppendBytes(b, m.Args)
+	var err error
+	switch {
+	case m.ArgVals != nil:
+		b, err = wire.AppendArgsPrefixed(b, m.ArgVals)
+	case m.chain != nil:
+		b, err = wire.AppendPrefixed(b, func(b []byte) ([]byte, error) {
+			return wire.AppendMarshalled(b, m.chain)
+		})
+	default:
+		b = wire.AppendBytes(b, m.Args)
+	}
+	if err != nil {
+		return nil, err
+	}
 	b = wire.AppendVarint(b, int64(m.Dest))
 	b = wire.AppendUvarint(b, uint64(m.Peer))
 	b = wire.AppendUvarint(b, uint64(len(m.Chain)))
@@ -465,12 +501,12 @@ func (m *routedMsg) AppendWire(b []byte) []byte {
 		b = wire.AppendVarint(b, int64(hop))
 	}
 	b = wire.AppendUvarint(b, m.SnapMax)
-	return append(b, m.Flags)
+	return append(b, m.Flags), nil
 }
 
-// DecodeWire implements wire.Codec. Args aliases b (zero copy) and is only
-// valid while the enclosing request payload is; UnmarshalArgs copies out of
-// it before the handler returns.
+// DecodeWire implements wire.FallibleCodec. Args aliases b (zero copy) and
+// is only valid while the enclosing request payload is; UnmarshalArgs copies
+// out of it before the handler returns.
 func (m *routedMsg) DecodeWire(b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, wire.ErrShortBuffer
@@ -534,9 +570,13 @@ const (
 	irFlagLease     = 1 << 2
 )
 
-// AppendWire implements wire.Codec.
-func (m *invokeReply) AppendWire(b []byte) []byte {
-	b = wire.AppendBytes(b, m.Results)
+// AppendWireErr implements wire.FallibleCodec. The results are always
+// encoded from ResultVals.
+func (m *invokeReply) AppendWireErr(b []byte) ([]byte, error) {
+	b, err := wire.AppendArgsPrefixed(b, m.ResultVals)
+	if err != nil {
+		return nil, err
+	}
 	b = wire.AppendVarint(b, int64(m.Node))
 	b = wire.AppendUvarint(b, m.Epoch)
 	var flags byte
@@ -557,11 +597,11 @@ func (m *invokeReply) AppendWire(b []byte) []byte {
 		b = wire.AppendString(b, m.SnapType)
 		b = wire.AppendBytes(b, m.SnapState)
 	}
-	return b
+	return b, nil
 }
 
-// DecodeWire implements wire.Codec. Results and SnapState alias b; the caller
-// recycles the reply payload only after copying the values out.
+// DecodeWire implements wire.FallibleCodec. Results and SnapState alias b;
+// the caller recycles the reply payload only after copying the values out.
 func (m *invokeReply) DecodeWire(b []byte) ([]byte, error) {
 	var err error
 	var v int64

@@ -78,7 +78,8 @@ func (ep *Endpoint) Kick(to gaddr.NodeID) {
 	}
 }
 
-// StartCall issues one async request attempt and returns immediately. done is
+// StartCall issues one async request attempt and returns immediately. body
+// stays the caller's (it is copied before StartCall returns). done is
 // invoked exactly once with the outcome — the reply body (ownership included;
 // recycle with wire.PutBuf when finished) or a classified error. Failure
 // classification matches CallWith: an expired or undeliverable attempt probes
@@ -91,6 +92,14 @@ func (ep *Endpoint) Kick(to gaddr.NodeID) {
 func (ep *Endpoint) StartCall(to gaddr.NodeID, p Proc, body []byte, opts AsyncOpts, done func([]byte, error)) {
 	id := ep.nextID.Add(1)
 	msg := requestMsg{CallID: id, Origin: ep.Self(), Proc: p, Trace: opts.Trace, Idem: opts.Idem, Body: body}
+	// Copy body into the envelope before the call can resolve: once the
+	// pending entry and its deadline exist, done may run (and the caller
+	// recycle body) at any moment.
+	b, err := wire.MarshalInto(&msg)
+	if err != nil {
+		go done(nil, err)
+		return
+	}
 
 	pc := pendingCall{peer: to, fn: func(out replyOutcome) { done(out.body, out.err) }}
 	ep.mu.Lock()
@@ -106,18 +115,16 @@ func (ep *Endpoint) StartCall(to gaddr.NodeID, p Proc, body []byte, opts AsyncOp
 	ep.mu.Unlock()
 	ep.counts.Inc("rpc_async_started")
 
-	b, err := wire.MarshalInto(&msg)
-	if err == nil {
-		ep.counts.Inc("rpc_sent")
-		if opts.NoFlush && ep.coal != nil {
-			err = ep.coal.SendNoFlush(to, kindRequest, b)
-		} else {
-			err = ep.tr.Send(to, kindRequest, b)
-		}
+	ep.counts.Inc("rpc_sent")
+	if opts.NoFlush && ep.coal != nil {
+		err = ep.coal.SendNoFlush(to, kindRequest, b)
+	} else {
+		err = ep.tr.Send(to, kindRequest, b)
 	}
 	if err == nil {
 		return
 	}
+	wire.PutBuf(b) // a refused send leaves the envelope with us
 	// The transport refused the send. Claim the entry back (the deadline timer
 	// may race us; exactly one side wins under ep.mu) and classify off-thread,
 	// since the probe blocks and StartCall promises not to.

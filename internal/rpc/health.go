@@ -212,6 +212,7 @@ func (ep *Endpoint) probe(peer gaddr.NodeID, timeout time.Duration) error {
 	ep.counts.Inc("rpc_probes_sent")
 	t0 := time.Now().UnixNano()
 	if err := ep.tr.Send(peer, kindPing, buf); err != nil {
+		wire.PutBuf(buf) // a refused send leaves the buffer with us
 		ep.counts.Inc("rpc_probe_failures")
 		return err
 	}
@@ -243,7 +244,9 @@ func (ep *Endpoint) handlePing(m transport.Message) {
 	buf := wire.AppendUvarint(wire.GetBuf(), id)
 	buf = wire.AppendUvarint(buf, ep.health.gen.Load())
 	buf = wire.AppendUvarint(buf, uint64(time.Now().UnixNano()))
-	ep.tr.Send(m.From, kindPong, buf)
+	if ep.tr.Send(m.From, kindPong, buf) != nil {
+		wire.PutBuf(buf) // a refused send leaves the buffer with us
+	}
 }
 
 // handlePong completes the matching probe. The wall-clock field is optional

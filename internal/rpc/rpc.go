@@ -249,10 +249,12 @@ type Endpoint struct {
 	counts   *stats.Set
 	health   healthState
 	dedup    dedupTable
-	// Dispatch controls how request handlers run. By default each request
-	// handler runs on its own goroutine (replies are processed inline so
-	// they can never be stuck behind a slow handler). Core overrides this to
-	// route execution through the node's scheduler.
+	// Dispatch controls how request handlers run: NewEndpoint sets it to
+	// run each request handler on its own goroutine (replies are processed
+	// inline so they can never be stuck behind a slow handler). Handlers
+	// that execute user code take a processor slot themselves, so no caller
+	// in this module replaces the default; tests override it to observe
+	// dispatch.
 	Dispatch func(func())
 }
 
@@ -337,6 +339,8 @@ func (ep *Endpoint) Oneway(to gaddr.NodeID, p Proc, body []byte) error {
 	return ep.sendRequest(to, &msg, false)
 }
 
+// sendRequest copies msg (and its Body) into a fresh envelope and sends it.
+// msg.Body stays the caller's: it is free to recycle once this returns.
 func (ep *Endpoint) sendRequest(to gaddr.NodeID, msg *requestMsg, isCall bool) error {
 	b, err := wire.MarshalInto(msg)
 	if err != nil {
@@ -347,7 +351,11 @@ func (ep *Endpoint) sendRequest(to gaddr.NodeID, msg *requestMsg, isCall bool) e
 		kind = kindRequest
 	}
 	ep.counts.Inc("rpc_sent")
-	return ep.tr.Send(to, kind, b)
+	if err := ep.tr.Send(to, kind, b); err != nil {
+		wire.PutBuf(b) // a refused send leaves the envelope with us
+		return err
+	}
+	return nil
 }
 
 func (ep *Endpoint) sendReply(to gaddr.NodeID, msg *replyMsg) {
@@ -362,12 +370,15 @@ func (ep *Endpoint) sendReply(to gaddr.NodeID, msg *replyMsg) {
 		// Forwarding brought the request back to its origin; complete the
 		// pending call locally (the transport refuses self-sends).
 		var rm replyMsg
-		if err := wire.UnmarshalFrom(b, &rm); err == nil {
-			ep.completeCall(ep.Self(), &rm)
+		if err := wire.UnmarshalFrom(b, &rm); err != nil {
+			wire.PutBuf(b)
+			return
 		}
+		ep.completeCall(ep.Self(), &rm, b)
 		return
 	}
 	if err := ep.tr.Send(to, kindReply, b); err != nil {
+		wire.PutBuf(b)
 		ep.counts.Inc("rpc_reply_send_failed")
 	}
 }
@@ -391,7 +402,7 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 			wire.PutBuf(m.Payload)
 			return
 		}
-		ep.completeCall(m.From, &rm)
+		ep.completeCall(m.From, &rm, m.Payload)
 	case kindRequest, kindOneway:
 		var rq requestMsg
 		if err := wire.UnmarshalFrom(m.Payload, &rq); err != nil {
@@ -446,7 +457,13 @@ func (ep *Endpoint) onMessage(m transport.Message) {
 	}
 }
 
-func (ep *Endpoint) completeCall(from gaddr.NodeID, rm *replyMsg) {
+// completeCall delivers a decoded reply to its pending call. payload is the
+// reply's whole buffer, which rm.Body points into; completeCall owns it. A
+// successful outcome hands the caller the body moved to the front of
+// payload, so the caller's one PutBuf returns the whole buffer — returning
+// the sub-slice instead would lose the envelope header's bytes from the
+// buffer's capacity on every round trip.
+func (ep *Endpoint) completeCall(from gaddr.NodeID, rm *replyMsg, payload []byte) {
 	ep.mu.Lock()
 	pc, ok := ep.pending[rm.CallID]
 	if ok {
@@ -457,12 +474,16 @@ func (ep *Endpoint) completeCall(from gaddr.NodeID, rm *replyMsg) {
 	}
 	ep.mu.Unlock()
 	if !ok {
+		wire.PutBuf(payload)
 		ep.counts.Inc("rpc_orphan_reply")
 		return
 	}
-	out := replyOutcome{body: rm.Body}
+	var out replyOutcome
 	if rm.Err != "" {
+		wire.PutBuf(payload)
 		out.err = &RemoteError{Node: from, Msg: rm.Err}
+	} else {
+		out.body = payload[:copy(payload, rm.Body)]
 	}
 	if pc.fn != nil {
 		// Async completion: cancel the deadline first. Stop may lose the race

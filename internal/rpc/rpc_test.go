@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"amber/internal/gaddr"
 	"amber/internal/transport"
+	"amber/internal/wire"
 )
 
 // testNet builds n endpoints on an instant fabric.
@@ -76,7 +78,8 @@ func TestOneway(t *testing.T) {
 			t.Error("oneway should not be a call")
 		}
 		c.Reply([]byte("ignored"), nil) // must be a harmless no-op
-		got <- c.Body
+		// Body is recycled when the handler returns: keep a copy.
+		got <- append([]byte(nil), c.Body...)
 	})
 	if err := eps[0].Oneway(1, 7, []byte("fire")); err != nil {
 		t.Fatal(err)
@@ -267,5 +270,36 @@ func TestDispatchOverride(t *testing.T) {
 	defer mu.Unlock()
 	if dispatched != 1 {
 		t.Fatalf("dispatched = %d, want 1", dispatched)
+	}
+}
+
+// TestReplyPayloadKeepsCapacity: a call's reply arrives as the whole pooled
+// payload, body moved to its front, so the caller's PutBuf returns the full
+// buffer. Were the caller handed the body's sub-slice instead, every round
+// trip would pool a buffer missing the envelope header, and the pool's
+// buffers would shrink from the 1 KiB they start with.
+func TestReplyPayloadKeepsCapacity(t *testing.T) {
+	eps, _ := testNet(t, 2)
+	eps[1].HandleProc(5, func(c *Ctx) {
+		body := append(wire.GetBuf(), c.Body...)
+		c.Reply(body, nil)
+		wire.PutBuf(body)
+	})
+	req := make([]byte, 200)
+	for i := range req {
+		req[i] = byte(i)
+	}
+	for i := 0; i < 1000; i++ {
+		resp, err := eps[0].Call(1, 5, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp, req) {
+			t.Fatalf("round trip %d: reply body corrupted", i)
+		}
+		if cap(resp) < 1024 {
+			t.Fatalf("round trip %d: reply buffer capacity %d, want the pool's full 1024+", i, cap(resp))
+		}
+		wire.PutBuf(resp)
 	}
 }

@@ -44,10 +44,10 @@ type Handler func(Message)
 // Buffer ownership: a successful Send takes ownership of payload — the caller
 // must not touch it afterwards (it may be delivered zero-copy, or recycled
 // into the wire buffer pool once written to a socket). When Send returns an
-// error, ownership stays with the caller. Symmetrically, a Handler receives
-// ownership of Message.Payload; the RPC layer recycles inbound payloads when
-// it is done with them. Recycling is always optional — an orphaned buffer is
-// just garbage-collected.
+// error, ownership stays with the caller, who returns it with wire.PutBuf.
+// Symmetrically, a Handler receives ownership of Message.Payload; the RPC
+// layer recycles inbound payloads when it is done with them (see the
+// ownership contract in package wire).
 type Transport interface {
 	// Self returns the node this transport belongs to.
 	Self() gaddr.NodeID

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"amber/internal/gaddr"
+	"amber/internal/stats"
 )
 
 // This file implements the hot-path half of the wire format: a hand-rolled,
@@ -79,53 +80,147 @@ type Codec interface {
 	DecodeWire(b []byte) ([]byte, error)
 }
 
+// FallibleCodec is the Codec shape for messages that carry user values —
+// argument and result vectors encoded in place rather than pre-marshalled —
+// whose encoding can fail (an unregistered type on the gob fallback).
+// MarshalInto and UnmarshalFrom accept it wherever they accept a Codec.
+type FallibleCodec interface {
+	AppendWireErr(b []byte) ([]byte, error)
+	DecodeWire(b []byte) ([]byte, error)
+}
+
 // --- pooled buffers ---
 
-// Buffer ownership rules (see DESIGN.md "The message path"):
+// Buffer ownership (see DESIGN.md "The message path"): every buffer GetBuf
+// hands out has exactly one owner at a time and is returned with exactly one
+// PutBuf.
 //
-//   - Encoders obtain scratch via GetBuf and hand the result to the next
-//     layer down; transport.Send takes ownership of the payload it is given.
-//   - On the receive path, ownership of an inbound payload passes to the
-//     transport handler; the RPC layer recycles request payloads after the
-//     handler returns, and reply payloads are recycled by whoever decodes
-//     them last.
-//   - PutBuf is always optional: a buffer that is never returned is simply
-//     garbage-collected.
+//   - An encoder owns the buffer it filled until it passes it to a layer that
+//     takes ownership. transport.Send takes ownership of its payload on
+//     success; every other layer (rpc calls, replies and forwards) copies the
+//     body it is given into its own envelope, so the encoder returns the body
+//     with PutBuf once that call returns.
+//   - A transport handler owns each inbound payload. The rpc layer recycles a
+//     request payload after its handler returns and hands a reply payload,
+//     whole, to the caller awaiting it, which returns it after decoding.
+//   - Nothing may reference a buffer after its PutBuf: decoded values own
+//     their memory, and anything that must outlive the buffer is copied out.
+//
+// The ledger below (BufLedger) counts both sides, and the core tests assert
+// that steady remote calls return every buffer they take. A buffer that is
+// never returned is not a crash — the garbage collector reclaims it — but it
+// is a leak the ledger shows and the pool pays for with a fresh allocation.
 var bufPool = sync.Pool{
 	New: func() any {
+		bufLedger.news.Inc()
 		b := make([]byte, 0, 1024)
 		return &b
 	},
 }
 
+// boxPool recycles the *[]byte boxes that carry buffers through bufPool:
+// GetBuf parks the box it emptied here and PutBuf refills one, so neither
+// side heap-allocates a slice header per call.
+var boxPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // maxPooledCap bounds what PutBuf keeps: very large buffers (bulk installs)
 // would pin memory for no benefit.
 const maxPooledCap = 1 << 18
 
+// bufLedger counts buffer-pool traffic. Striped counters keep the hot path
+// free of a shared cache line.
+var bufLedger struct {
+	gets, puts, news, oversize stats.Counter
+}
+
+// BufStats is a snapshot of the buffer-pool ledger.
+type BufStats struct {
+	Gets     int64 // buffers handed out by GetBuf/GetBufN
+	Puts     int64 // buffers handed back by PutBuf
+	News     int64 // fresh 1 KiB buffers the pool had to allocate
+	Oversize int64 // buffers PutBuf dropped as larger than the pool keeps
+}
+
+// BufLedger reports the buffer-pool ledger. Over a stretch of steady
+// traffic, Puts-Gets is zero when every buffer taken was returned.
+func BufLedger() BufStats {
+	return BufStats{
+		Gets:     bufLedger.gets.Load(),
+		Puts:     bufLedger.puts.Load(),
+		News:     bufLedger.news.Load(),
+		Oversize: bufLedger.oversize.Load(),
+	}
+}
+
+func init() {
+	stats.RegisterHelp("wire_buf_gets", "wire buffers taken from the pool (GetBuf/GetBufN)")
+	stats.RegisterHelp("wire_buf_puts", "wire buffers returned to the pool (PutBuf); equals gets when none leak")
+	stats.RegisterHelp("wire_buf_news", "wire buffers the pool had to allocate because it was empty")
+	stats.RegisterHelp("wire_buf_oversize", "returned wire buffers dropped as too large to pool")
+}
+
+// poisonPuts makes PutBuf overwrite every returned buffer with poisonByte,
+// so a use after recycle reads garbage (and, under -race, conflicts with the
+// overwrite) instead of silently seeing plausible bytes. Tests switch it on;
+// it is never set in production builds.
+var poisonPuts bool
+
+const poisonByte = 0xDB
+
 // GetBuf returns an empty buffer from the shared pool. Append to it; return
 // it with PutBuf when its contents are no longer referenced anywhere.
 func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	bufLedger.gets.Inc()
+	return getPooled()
+}
+
+func getPooled() []byte {
+	box := bufPool.Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil
+	boxPool.Put(box)
+	return b
 }
 
 // GetBufN returns a pooled buffer of length n (contents undefined).
 func GetBufN(n int) []byte {
-	b := GetBuf()
+	bufLedger.gets.Inc()
+	b := getPooled()
 	if cap(b) < n {
+		putPooled(b)
 		return make([]byte, n)
 	}
 	return b[:n]
 }
 
 // PutBuf returns b's backing array to the pool. The caller must not touch b
-// (or anything aliasing it) afterwards. Putting nil or an unpoolably large
-// buffer is a no-op.
+// (or anything aliasing it) afterwards. Putting nil is a no-op; an
+// unpoolably large buffer is counted and left to the garbage collector.
 func PutBuf(b []byte) {
-	if b == nil || cap(b) < 64 || cap(b) > maxPooledCap {
+	if b == nil {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	bufLedger.puts.Inc()
+	if cap(b) > maxPooledCap {
+		bufLedger.oversize.Inc()
+		return
+	}
+	if poisonPuts {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	putPooled(b)
+}
+
+func putPooled(b []byte) {
+	if cap(b) < 64 {
+		return
+	}
+	box := boxPool.Get().(*[]byte)
+	*box = b[:0]
+	bufPool.Put(box)
 }
 
 // --- primitive append/read helpers (exported for Codec implementations) ---
@@ -171,6 +266,37 @@ func ReadBytes(b []byte) ([]byte, []byte, error) {
 		return nil, nil, ErrShortBuffer
 	}
 	return rest[:n:n], rest[n:], nil
+}
+
+// AppendPrefixed appends whatever enc appends, preceded by its length as a
+// uvarint: byte-for-byte what AppendBytes would write for the same bytes
+// encoded separately, but without the separate buffer. The length is not
+// known until enc returns, so one byte is reserved for it and the encoding
+// shifts up in place when the length needs more.
+func AppendPrefixed(b []byte, enc func([]byte) ([]byte, error)) ([]byte, error) {
+	at := len(b)
+	b, err := enc(append(b, 0))
+	if err != nil {
+		return nil, err
+	}
+	n := len(b) - at - 1
+	if n < 0x80 {
+		b[at] = byte(n)
+		return b, nil
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	b = append(b, hdr[1:h]...) // grow by the extra length bytes
+	copy(b[at+h:], b[at+1:at+1+n])
+	copy(b[at:], hdr[:h])
+	return b, nil
+}
+
+// AppendArgsPrefixed appends an argument (or result) vector as a
+// length-prefixed field: the same bytes as AppendBytes(b, args encoded by
+// AppendArgs), encoded straight into b.
+func AppendArgsPrefixed(b []byte, args []any) ([]byte, error) {
+	return AppendPrefixed(b, func(b []byte) ([]byte, error) { return AppendArgs(b, args) })
 }
 
 // AppendString appends s with a uvarint length prefix.

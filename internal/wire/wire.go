@@ -84,8 +84,10 @@ func Register(v any) {
 
 // Marshal encodes a single interface value into a pooled buffer.
 func Marshal(v any) ([]byte, error) {
-	b, err := AppendValue(GetBuf(), v)
+	buf := GetBuf()
+	b, err := AppendValue(buf, v)
 	if err != nil {
+		PutBuf(buf)
 		return nil, err
 	}
 	return b, nil
@@ -117,7 +119,13 @@ func UnmarshalStruct(b []byte) (reflect.Value, error) {
 
 // MarshalArgs encodes an argument (or result) vector into a pooled buffer.
 func MarshalArgs(args []any) ([]byte, error) {
-	return AppendArgs(GetBuf(), args)
+	buf := GetBuf()
+	b, err := AppendArgs(buf, args)
+	if err != nil {
+		PutBuf(buf)
+		return nil, err
+	}
+	return b, nil
 }
 
 // UnmarshalArgs decodes a vector encoded by MarshalArgs. The returned values
@@ -169,19 +177,36 @@ func PutArgs(vs []any) {
 // payload embedded via interface fields) is gob-encoded. Both sides carry a
 // format tag, so UnmarshalFrom never guesses.
 func MarshalInto(v any) ([]byte, error) {
-	if c, ok := v.(Codec); ok {
+	switch c := v.(type) {
+	case Codec:
 		return c.AppendWire(append(GetBuf(), fmtFast)), nil
+	case FallibleCodec:
+		buf := append(GetBuf(), fmtFast)
+		b, err := c.AppendWireErr(buf)
+		if err != nil {
+			PutBuf(buf)
+			return nil, err
+		}
+		return b, nil
 	}
 	gobFallbacks.Add(1)
 	if trace.GlobalOn() {
 		trace.GlobalEmit(trace.Event{Kind: trace.KGobFallback, Label: fmt.Sprintf("%T", v)})
 	}
 	var buf bytes.Buffer
-	buf.WriteByte(fmtGob)
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("wire: encode %T: %w", v, err)
 	}
-	return buf.Bytes(), nil
+	// Copied into a pooled buffer so every MarshalInto result has the same
+	// owner contract (one PutBuf) and the buffer ledger stays exact.
+	return append(append(GetBuf(), fmtGob), buf.Bytes()...), nil
+}
+
+// AppendMarshalled appends c encoded exactly as MarshalInto would encode
+// it, format tag included: for a message nested in another's byte field and
+// encoded in place (see AppendPrefixed) rather than marshalled separately.
+func AppendMarshalled(b []byte, c FallibleCodec) ([]byte, error) {
+	return c.AppendWireErr(append(b, fmtFast))
 }
 
 // gobFallbacks counts protocol messages that missed the fast codec and fell
@@ -199,7 +224,9 @@ func UnmarshalFrom(b []byte, v any) error {
 	}
 	switch b[0] {
 	case fmtFast:
-		c, ok := v.(Codec)
+		c, ok := v.(interface {
+			DecodeWire(b []byte) ([]byte, error)
+		})
 		if !ok {
 			return fmt.Errorf("wire: decode %T: fast-path payload for a non-Codec type", v)
 		}

@@ -27,6 +27,18 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== buffer ownership (pool ledger, poisoned suites, -race) =="
+# One owner, one PutBuf (DESIGN.md §6.2). The ledger test asserts that
+# steady Invoke/AsyncInvoke/InvokeChain/forwarded calls return every pooled
+# buffer they take; the wirepoison build overwrites each buffer as it is
+# returned, so any code still aliasing one reads garbage and -race reports
+# the conflicting write. The core package carries the dispatch-conformance,
+# replica, lease, async and chain suites; rpc and transport own the envelope
+# and payload hand-offs.
+go test -race -count=1 -run 'TestBufLedger|TestInPlaceEncoding|TestReplyPayloadKeepsCapacity|TestPool|TestPoison|TestAppendPrefixed' \
+	./internal/core/ ./internal/rpc/ ./internal/wire/
+go test -race -count=1 -tags wirepoison ./internal/core/ ./internal/rpc/ ./internal/transport/ ./internal/wire/
+
 echo "== fault suite (crash/partition injection, retry, dedup) =="
 # The failure-domain scenarios are timing-sensitive by nature, so they run a
 # second time under -race with fresh state: seeded injectors make the fault
@@ -256,8 +268,10 @@ echo "== allocation regression (Table 1 invoke benches, -benchmem) =="
 # Allocation counts are deterministic where ns/op is host-noise: these gates
 # run in CI proper, not just the perf script. Local invoke (and the warm
 # replica/lease hits, which run the same compiled dispatch plans) must stay
-# within 3 allocs/op; remote invoke strictly below 38/op. Memory profiles are
-# archived next to the run so a failure comes with its own evidence.
+# within 3 allocs/op; remote invoke within 30 allocs and 3072 B per op (it
+# was 33 allocs and 6.5 KB before every wire buffer on the path was
+# returned to the pool). Memory profiles are archived next to the run so a
+# failure comes with its own evidence.
 ALLOCDIR=${CI_ARTIFACTS:-$(mktemp -d /tmp/amber-ci-alloc.XXXXXX)}
 mkdir -p "$ALLOCDIR"
 ALLOC_RAW=$(go test -run '^$' \
@@ -268,13 +282,15 @@ echo "$ALLOC_RAW"
 echo "memprofile archived at $ALLOCDIR/invoke_mem.pprof"
 echo "$ALLOC_RAW" | awk '
 	function allocs(    i) { for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "allocs/op") return $i + 0; return -1 }
+	function bytes(    i) { for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "B/op") return $i + 0; return -1 }
 	$1 ~ /^BenchmarkTable1LocalInvoke(-[0-9]+)?$/        { v = allocs(); if (v < 0 || v > 3)  { print "FAIL: local invoke " v " allocs/op (budget 3)"; bad = 1 } }
 	$1 ~ /^BenchmarkImmutableRemoteInvokeWarm(-[0-9]+)?$/ { v = allocs(); if (v < 0 || v > 3)  { print "FAIL: warm replica hit " v " allocs/op (budget 3)"; bad = 1 } }
 	$1 ~ /^BenchmarkMutableLeaseWarm(-[0-9]+)?$/          { v = allocs(); if (v < 0 || v > 3)  { print "FAIL: warm lease read " v " allocs/op (budget 3)"; bad = 1 } }
-	$1 ~ /^BenchmarkTable1RemoteInvoke(-[0-9]+)?$/        { v = allocs(); if (v < 0 || v >= 38) { print "FAIL: remote invoke " v " allocs/op (must be < 38)"; bad = 1 } }
+	$1 ~ /^BenchmarkTable1RemoteInvoke(-[0-9]+)?$/        { v = allocs(); if (v < 0 || v > 30) { print "FAIL: remote invoke " v " allocs/op (budget 30)"; bad = 1 }
+	                                                        v = bytes();  if (v < 0 || v > 3072) { print "FAIL: remote invoke " v " B/op (budget 3072)"; bad = 1 } }
 	END { exit bad }
 ' || { echo "FAIL: allocation regression — compiled dispatch fell off its budget" >&2; exit 1; }
-echo "allocation gates passed (local/warm <= 3 allocs/op, remote < 38 allocs/op)"
+echo "allocation gates passed (local/warm <= 3 allocs/op, remote <= 30 allocs and 3072 B/op)"
 
 echo
 echo "ci: all gates passed"
