@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -168,53 +167,35 @@ func (c *Ctx) AsyncInvokeChain(steps []ChainStep, opts ...CallOption) *Future {
 }
 
 // chainInvoke is the origin-side driver: run the locally resident prefix
-// inline, ship the remainder. The shipped leg reuses the invoke() recovery
-// ladder — one stale-hint retry, bounded routing restarts.
+// inline, ship the remainder. Each step goes through the routing engine, so
+// the shipped leg climbs the same recovery ladder as invoke.
 func (n *Node) chainInvoke(c *Ctx, steps []ChainStep, o callOpts) ([]any, error) {
 	var prev []any
-	hintRetried := false
-	restarts := 0
 	for len(steps) > 0 {
 		step := steps[0]
 		if step.Obj == gaddr.Nil {
 			return nil, fmt.Errorf("%w: nil reference in chain", ErrNoSuchObject)
 		}
 		msg := routedMsg{Op: opChain, Obj: step.Obj, Thread: c.rec, Method: step.Method}
-		d, act, to, err := n.resolve(&msg)
-		switch act {
-		case actError:
-			return nil, err
-		case actExecute:
-			n.cInvokesLocal.Inc()
+		l := n.newLadder(o)
+		shipped := false
+		err := n.dispatch(&msg, &l, func(d *descriptor) error {
 			n.counts.Inc("chain_steps_executed")
-			if n.heat != nil && !d.Immutable() {
-				n.heatObserve(step.Obj, n.id)
-			}
-			args := substituteChainPrev(step.Args, prev)
-			start := time.Now()
-			res, rerr := n.runPinned(c, d, step.Obj, step.Method, args, false)
-			n.histLocal.Observe(time.Since(start))
-			if rerr != nil {
-				return nil, rerr
-			}
+			res, err := n.runLocal(c, d, step.Obj, step.Method, substituteChainPrev(step.Args, prev), false)
 			prev = res
-			steps = steps[1:]
-		case actForward:
-			res, rerr := n.shipChain(c, steps, prev, to, o)
-			if rerr != nil && staleRouteError(rerr) {
-				if !hintRetried && n.hintDrop(step.Obj) {
-					hintRetried = true
-					n.counts.Inc("hint_retries")
-					continue
-				}
-				if errors.Is(rerr, ErrRoutingLost) && restarts < 4 {
-					restarts++
-					n.counts.Inc("routing_restarts")
-					continue
-				}
-			}
-			return res, rerr
+			return err
+		}, func(to gaddr.NodeID) error {
+			res, err := n.shipChain(c, steps, prev, to, o)
+			prev, shipped = res, err == nil
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
+		if shipped {
+			break
+		}
+		steps = steps[1:]
 	}
 	return prev, nil
 }
@@ -230,41 +211,24 @@ func (n *Node) shipChain(c *Ctx, steps []ChainStep, prev []any, to gaddr.NodeID,
 	for i, s := range steps {
 		cm.Steps[i] = chainStepWire{Obj: s.Obj, Method: s.Method, ArgVals: vals(s.Args)}
 	}
-	msg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: c.rec, chain: &cm,
-		Chain: []gaddr.NodeID{n.id}}
-	body, err := wire.MarshalInto(&msg)
-	if err != nil {
-		return nil, err
-	}
+	msg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: c.rec, chain: &cm}
 	n.counts.Inc("chains_shipped")
 	var ti rpc.TraceInfo
 	if tr := n.tracer; tr.OnFor(c.rec.ID) {
 		ti = rpc.TraceInfo{TraceID: c.rec.ID, SpanID: c.span}
 	}
-	var resp []byte
-	var rerr error
-	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, ti, o) })
-	wire.PutBuf(body) // the rpc layer sent a copy
+	resp, err := n.send(c, &msg, to, ti, o)
 	elapsed := time.Since(start)
 	n.histRemote.Observe(elapsed)
 	if ti.TraceID != 0 {
 		n.exRemote.Note(elapsed, ti.TraceID)
 	}
-	if rerr != nil {
-		return nil, mapRemoteError(rerr)
-	}
-	var ir invokeReply
-	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
-		wire.PutBuf(resp)
+	if err != nil {
 		return nil, err
 	}
-	n.counts.Inc("return_checks")
 	// The reply reports where the LAST step executed; that is the freshest
 	// location fact the chain produced.
-	n.learnLocation(steps[len(steps)-1].Obj, ir.Node, ir.Epoch)
-	out, err := wire.UnmarshalArgs(ir.Results)
-	wire.PutBuf(resp)
-	return out, err
+	return n.replyLeg(steps[len(steps)-1].Obj, resp)
 }
 
 // executeChain services an arriving opChain. Lock contract: d (the first
@@ -333,50 +297,23 @@ func (n *Node) executeChain(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 		}
 		// Resolve the next step here. Objects that are co-located keep the
 		// chain on this node; anything else forwards the remainder.
-		nmsg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: tc.rec}
-		for retries := 0; ; retries++ {
-			nd, act, to, rerr := n.resolve(&nmsg)
-			switch act {
-			case actError:
-				rc.Reply(nil, rerr)
-				return nil
-			case actExecute:
-				d = nd
-			case actForward:
-				if to == n.id {
-					// Transient self-pointer (same as handleRouted): wait out
-					// the racing transition rather than forwarding to ourselves.
-					if retries < 64 {
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					n.counts.Inc("routing_lost")
-					rc.Reply(nil, fmt.Errorf("%w: chain %#x", ErrRoutingLost, uint64(steps[0].Obj)))
-					return nil
-				}
-				if n.ep.PeerDown(to) {
-					n.counts.Inc("forwards_refused_down")
-					rc.Reply(nil, fmt.Errorf("%w: next hop %d for chain %#x",
-						ErrNodeDown, to, uint64(steps[0].Obj)))
-					return nil
-				}
-				n.ep.WatchPeer(to)
-				ncm := chainMsg{Steps: steps, PrevVals: prev}
-				fmsg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: tc.rec,
-					chain: &ncm, Chain: append(msg.Chain, n.id)}
-				fbody, merr := wire.MarshalInto(&fmsg)
-				if merr != nil {
-					rc.Reply(nil, merr)
-					return nil
-				}
-				n.counts.Inc("chains_forwarded")
-				if ferr := rc.Forward(to, procRouted, fbody); ferr != nil {
-					n.counts.Inc("forward_failed")
-				}
-				wire.PutBuf(fbody) // Forward sent a copy
-				return nil
-			}
-			break
+		nmsg := routedMsg{Op: opChain, Obj: steps[0].Obj, Thread: tc.rec, Chain: msg.Chain}
+		var next *descriptor
+		err = n.dispatch(&nmsg, nil, func(nd *descriptor) error {
+			next = nd
+			return nil
+		}, func(to gaddr.NodeID) error {
+			nmsg.chain = &chainMsg{Steps: steps, PrevVals: prev}
+			n.counts.Inc("chains_forwarded")
+			return n.forward(rc, &nmsg, to)
+		})
+		if err != nil {
+			rc.Reply(nil, err)
+			return nil
 		}
+		if next == nil {
+			return nil // forwarded
+		}
+		d = next
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"time"
@@ -168,53 +167,39 @@ func (n *Node) handleInstall(rc *rpc.Ctx) {
 	rc.Reply(nil, nil)
 }
 
-// control drives a mobility/control operation initiated locally by thread c:
-// run the entry protocol here, execute if the object is local, otherwise
-// ship the request and decode the typed reply.
-func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (any, error) {
-	msg.Thread = c.rec
-	restarts := 0
-	for retries := 0; ; retries++ {
-		d, act, to, err := n.resolve(msg)
-		switch act {
-		case actError:
-			return nil, err
-		case actExecute:
-			rep, err := n.executeControlLocal(d, msg)
-			if err == nil {
-				return rep, nil
-			}
-			if errors.Is(err, errRetryRoute) && retries < 256 {
-				time.Sleep(500 * time.Microsecond)
-				continue
-			}
-			return nil, err
-		case actForward:
-			rep, err := n.shipControl(c, msg, to, o)
-			// Like invoke: a chase that ran out of hops behind a fast-moving
-			// object restarts with a fresh chain (routing-lost replies are
-			// pre-execution, so this cannot double-apply the operation).
-			if err != nil && errors.Is(err, ErrRoutingLost) && restarts < 4 {
-				restarts++
-				msg.Chain = nil
-				n.counts.Inc("routing_restarts")
-				continue
-			}
-			return rep, err
-		}
+// control drives a mobility/control operation initiated locally by thread c
+// (nil for kernel-level callers, see locateInternal) through the routing
+// engine: execute if the object is resident here, otherwise ship the request
+// and decode the typed reply.
+func (n *Node) control(c *Ctx, msg *routedMsg, o callOpts) (rep any, err error) {
+	if c != nil {
+		msg.Thread = c.rec
 	}
+	l := n.newLadder(o)
+	err = n.dispatch(msg, &l, func(d *descriptor) (err error) {
+		rep, err = n.executeControl(d, msg, n.id)
+		return err
+	}, func(to gaddr.NodeID) (err error) {
+		rep, err = n.shipControl(c, msg, to, o)
+		return err
+	})
+	return rep, err
 }
 
-// executeControlLocal dispatches a control op whose object is resident here.
-// d arrives locked (resolve's control contract); each executor releases it.
-// A second return of errForwardedTo wraps a handoff (attach co-location).
-func (n *Node) executeControlLocal(d *descriptor, msg *routedMsg) (any, error) {
+// executeControl is the one executor for control operations, whether they
+// originate here or arrive from the network. d arrives locked (resolve's
+// control contract) and each operation releases it. The reply is a
+// *locateReply or *moveReply, or nil for the empty acknowledgements. An
+// attach whose child had to move to its parent's node returns a retryRoute:
+// the re-run entry protocol follows the child's new tombstone there.
+func (n *Node) executeControl(d *descriptor, msg *routedMsg, origin gaddr.NodeID) (any, error) {
 	switch msg.Op {
 	case opLocate:
-		rep := locateReply{Node: n.id, Immutable: d.Immutable()}
+		rep := &locateReply{Node: n.id, Immutable: d.Immutable(), Epoch: d.Epoch()}
 		d.Unlock()
 		n.counts.Inc("locates_answered")
-		return &rep, nil
+		n.sendChainUpdates(msg.Obj, rep.Epoch, msg.Chain, origin)
+		return rep, nil
 	case opMove:
 		rep, err := n.executeMove(d, msg, false)
 		if err != nil {
@@ -228,49 +213,22 @@ func (n *Node) executeControlLocal(d *descriptor, msg *routedMsg) (any, error) {
 	case opDelete:
 		return nil, n.executeDelete(d, msg)
 	case opAttach:
-		fwd, err := n.executeAttach(d, msg)
-		if err != nil {
-			return nil, err
-		}
-		if fwd != gaddr.NoNode {
-			// The child just migrated to the parent's node; finish there.
-			return nil, &forwardedTo{node: fwd}
-		}
-		return nil, nil
+		return nil, n.executeAttach(d, msg)
 	case opUnattach:
 		return nil, n.executeUnattach(d, msg)
 	default:
 		d.Unlock()
-		return nil, fmt.Errorf("amber: unknown control op %d", msg.Op)
+		return nil, fmt.Errorf("amber: unknown routed op %d", msg.Op)
 	}
-}
-
-// forwardedTo signals that a locally-driven control op must continue at
-// another node.
-type forwardedTo struct{ node gaddr.NodeID }
-
-func (f *forwardedTo) Error() string {
-	return fmt.Sprintf("amber: internal: continue at node %d", f.node)
 }
 
 // shipControl sends a control request to another node and decodes the typed
 // reply. The thread blocks (releasing its processor slot) while the request
 // is away, like any remote operation.
 func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, o callOpts) (any, error) {
-	msg.Chain = append(msg.Chain, n.id)
-	if len(msg.Chain) > n.cfg.MaxHops {
-		return nil, ErrRoutingLost
-	}
-	body, err := wire.MarshalInto(msg)
+	resp, err := n.send(c, msg, to, rpc.TraceInfo{}, o)
 	if err != nil {
 		return nil, err
-	}
-	var resp []byte
-	var rerr error
-	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, rpc.TraceInfo{}, o) })
-	wire.PutBuf(body) // the rpc layer sent a copy
-	if rerr != nil {
-		return nil, mapRemoteError(rerr)
 	}
 	defer wire.PutBuf(resp) // typed replies below copy all fields out
 	switch msg.Op {
@@ -304,13 +262,10 @@ func (n *Node) shipControl(c *Ctx, msg *routedMsg, to gaddr.NodeID, o callOpts) 
 func (c *Ctx) MoveTo(obj Ref, node gaddr.NodeID, opts ...CallOption) error {
 	start := time.Now()
 	msg := routedMsg{Op: opMove, Obj: obj, Dest: node}
-	rep, err := c.node.control(c, &msg, gatherOptions(opts))
+	_, err := c.node.control(c, &msg, gatherOptions(opts))
 	c.node.histMove.Observe(time.Since(start))
 	if err != nil {
 		return err
-	}
-	if mr, ok := rep.(*moveReply); ok && !mr.Deferred {
-		c.node.learnLocation(obj, mr.Node, mr.Epoch)
 	}
 	if tr := c.node.tracer; tr.OnFor(c.rec.ID) {
 		tr.Emit(trace.Event{Kind: trace.KObjectMove, Trace: c.rec.ID, Parent: c.span,
@@ -385,19 +340,8 @@ func (c *Ctx) Delete(obj Ref, opts ...CallOption) error {
 // Options (WithDeadline, WithRetry) bound and retry each routed request.
 func (c *Ctx) Attach(obj, peer Ref, opts ...CallOption) error {
 	msg := routedMsg{Op: opAttach, Obj: obj, Peer: peer}
-	o := gatherOptions(opts)
-	for hops := 0; hops < 8; hops++ {
-		_, err := c.node.control(c, &msg, o)
-		var fw *forwardedTo
-		if errors.As(err, &fw) {
-			// Continue at the node the child moved to; reset the chain so
-			// the fresh request routes cleanly.
-			msg.Chain = nil
-			continue
-		}
-		return err
-	}
-	return fmt.Errorf("%w: attach kept chasing a moving parent", ErrRoutingLost)
+	_, err := c.node.control(c, &msg, gatherOptions(opts))
+	return err
 }
 
 // Unattach removes the attachment between obj and peer. Options

@@ -124,12 +124,12 @@ type futureCall struct {
 	idem   uint64 // idempotency token shared by every attempt (0 = no retry)
 	start  time.Time
 
-	// failure-path state, mirroring the blocking invoke() loop
-	timeout     time.Duration
-	hintRetried bool
-	restarts    int
-	attempt     int
-	backoff     time.Duration
+	// failure-path state: the routing engine's recovery ladder, then the
+	// per-call retry policy
+	timeout time.Duration
+	ladder  ladder
+	attempt int
+	backoff time.Duration
 }
 
 func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o callOpts) *Future {
@@ -143,16 +143,14 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 	if o.readOnly {
 		msg.Flags |= rmFlagReadOnly
 	}
-	d, act, to, err := n.resolve(&msg)
-	switch act {
-	case actError:
-		f.complete(nil, err)
-	case actExecute:
+	l := n.newLadder(o)
+	err := n.dispatch(&msg, &l, func(d *descriptor) error {
 		// Resident fast path: the pin is already held; execute on a fresh
 		// goroutine (the whole point is not to borrow the caller's).
 		n.counts.Inc("async_invokes_local")
 		go n.runAsyncLocal(d, rec, obj, method, args, o.readOnly, f)
-	case actForward:
+		return nil
+	}, func(to gaddr.NodeID) error {
 		// Encoded now, while the caller's arguments are as they were at the
 		// call; the buffer lives until the call ends (fc.release). Encoded
 		// from a copy so the local path's msg never escapes to the heap.
@@ -163,10 +161,9 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 			smsg.SnapMax = n.replicaMax
 			smsg.Flags |= rmFlagLeaseOK
 		}
-		body, merr := wire.MarshalInto(&smsg)
-		if merr != nil {
-			f.complete(nil, merr)
-			return f
+		body, err := wire.MarshalInto(&smsg)
+		if err != nil {
+			return err
 		}
 		timeout := o.deadline
 		if timeout <= 0 {
@@ -187,62 +184,51 @@ func (n *Node) asyncInvoke(c *Ctx, obj gaddr.Addr, method string, args []any, o 
 			ti = rpc.TraceInfo{TraceID: rec.ID}
 		}
 		fc := &futureCall{f: f, rec: rec, obj: obj, method: method, body: body, o: o,
-			to: to, ti: ti, idem: idem, timeout: timeout, backoff: o.retry.Backoff,
+			to: to, ti: ti, idem: idem, timeout: timeout, ladder: l, backoff: o.retry.Backoff,
 			start: time.Now()}
 		n.pipeFor(to).enqueue(c, fc)
+		return nil
+	})
+	if err != nil {
+		f.complete(nil, err)
 	}
 	return f
 }
 
 // runAsyncLocal executes a resident async invocation. d arrives pinned (the
-// resolve fast path took the pin); runPinned releases it. Counter and heat
-// parity with the synchronous local path keeps placement decisions blind to
-// which API issued the call.
+// entry protocol took the pin); runLocal releases it.
 func (n *Node) runAsyncLocal(d *descriptor, rec ThreadRec, obj gaddr.Addr, method string, args []any, readOnly bool, f *Future) {
-	c := &Ctx{node: n, rec: rec}
-	n.cInvokesLocal.Inc()
-	if n.heat != nil && !d.Immutable() && !d.Lease() {
-		n.heatObserve(obj, n.id)
-	}
-	switch {
-	case d.Replica():
-		n.cReplicaHits.Inc()
-	case d.Lease():
-		n.cLeaseHits.Inc()
-	}
-	start := time.Now()
-	res, err := n.runPinned(c, d, obj, method, args, readOnly)
-	n.histLocal.Observe(time.Since(start))
-	f.complete(res, err)
+	f.complete(n.runLocal(&Ctx{node: n, rec: rec}, d, obj, method, args, readOnly))
 }
 
 // asyncDispatch (re)routes a pipelined call after a stale hint, routing
-// restart, or retry backoff: resolve afresh and either run here (the object
-// came to us between attempts), complete with a definite error, or requeue
-// on the now-believed peer's pipe. Always runs on its own goroutine —
-// resolve may block on a move in progress, and requeue never blocks.
+// restart, or retry backoff: run the entry protocol afresh and either run
+// here (the object came to us between attempts), complete with a definite
+// error, or requeue on the now-believed peer's pipe. Always runs on its own
+// goroutine — the entry protocol may block on a move in progress, and
+// requeue never blocks.
 func (n *Node) asyncDispatch(fc *futureCall) {
 	msg := routedMsg{Op: opInvoke, Obj: fc.obj, Thread: fc.rec, Method: fc.method}
 	if fc.o.readOnly {
 		msg.Flags |= rmFlagReadOnly
 	}
-	d, act, to, err := n.resolve(&msg)
-	switch act {
-	case actError:
-		fc.finish(nil, err)
-	case actExecute:
-		args, uerr := fc.args()
-		if uerr != nil {
+	err := n.dispatch(&msg, &fc.ladder, func(d *descriptor) error {
+		args, err := fc.args()
+		if err != nil {
 			n.unpin(d)
-			fc.finish(nil, uerr)
-			return
+			return err
 		}
 		fc.release() // runAsyncLocal completes the future
 		n.runAsyncLocal(d, fc.rec, fc.obj, fc.method, args, fc.o.readOnly, fc.f)
 		wire.PutArgs(args)
-	case actForward:
+		return nil
+	}, func(to gaddr.NodeID) error {
 		fc.to = to
 		n.pipeFor(to).requeue(fc)
+		return nil
+	})
+	if err != nil {
+		fc.finish(nil, err)
 	}
 }
 
@@ -266,42 +252,16 @@ func (n *Node) issueAsync(fc *futureCall) {
 }
 
 // asyncComplete finishes one attempt: release the pipeline slot, then either
-// unpack the reply (location learning, replica piggyback, result decode —
-// the same bookkeeping as shipInvoke's return leg) or route the failure. It
-// runs on a transport delivery or timer goroutine and never blocks.
+// unpack the reply through replyLeg (the return leg it shares with
+// shipInvoke) or route the failure. It runs on a transport delivery or timer
+// goroutine and never blocks.
 func (n *Node) asyncComplete(fc *futureCall, to gaddr.NodeID, resp []byte, rerr error) {
 	n.pipeFor(to).release()
 	if rerr != nil {
 		n.asyncFail(fc, to, mapRemoteError(rerr))
 		return
 	}
-	var ir invokeReply
-	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
-		wire.PutBuf(resp)
-		fc.finish(nil, err)
-		return
-	}
-	n.counts.Inc("return_checks")
-	n.learnLocation(fc.obj, ir.Node, ir.Epoch)
-	if ir.Immutable {
-		n.cReplicaMiss.Inc()
-		if n.replicaOn && ir.SnapType != "" {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: fc.obj, from: ir.Node, typ: ir.SnapType, state: owned, epoch: ir.Epoch,
-			})
-		}
-	} else if ir.Lease {
-		if n.replicaOn && ir.SnapType != "" && ir.LeaseNs > 0 {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: fc.obj, from: ir.Node, typ: ir.SnapType, state: owned, epoch: ir.Epoch,
-				lease: true, ttl: int64(ir.LeaseNs),
-			})
-		}
-	}
-	out, err := wire.UnmarshalArgs(ir.Results)
-	wire.PutBuf(resp)
+	out, err := n.replyLeg(fc.obj, resp)
 	elapsed := time.Since(fc.start)
 	n.histRemote.Observe(elapsed)
 	if fc.ti.TraceID != 0 {
@@ -335,24 +295,14 @@ func (fc *futureCall) args() ([]any, error) {
 	return wire.UnmarshalArgsScratch(m.Args)
 }
 
-// asyncFail routes a failed attempt through the same recovery ladder as the
-// blocking invoke() loop: one stale-hint retry, bounded routing restarts,
-// then the per-call retry policy; what survives completes the future and
-// trips the anomaly tripwire exactly like a failed blocking call.
+// asyncFail routes a failed attempt through the routing engine's recovery
+// ladder (reroute), then the per-call retry policy; what survives completes
+// the future and trips the anomaly tripwire exactly like a failed blocking
+// call.
 func (n *Node) asyncFail(fc *futureCall, to gaddr.NodeID, err error) {
-	if staleRouteError(err) {
-		if !fc.hintRetried && n.hintDrop(fc.obj) {
-			fc.hintRetried = true
-			n.counts.Inc("hint_retries")
-			go n.asyncDispatch(fc)
-			return
-		}
-		if errors.Is(err, ErrRoutingLost) && fc.restarts < 4 {
-			fc.restarts++
-			n.counts.Inc("routing_restarts")
-			go n.asyncDispatch(fc)
-			return
-		}
+	if n.reroute(&fc.ladder, fc.obj, fc.rec.ID, err) {
+		go n.asyncDispatch(fc)
+		return
 	}
 	// Retry policy: only attempts with no reply (timeout, dead peer, refused
 	// send) are re-issued; a reply carrying an application error is final.

@@ -174,6 +174,13 @@ func TestHeatMigratesHotObjectToDominantCaller(t *testing.T) {
 				cl.Node(0).HeatTracked())
 		}
 	}
+	// The mover books the move (and forgets the object) only after MoveTo
+	// returns, which can be after the object already answers from node 1.
+	deadline = time.Now().Add(5 * time.Second)
+	for (cl.Node(0).Stats().Get("heat_moves").Load() < 1 || cl.Node(0).HeatTracked() != 0) &&
+		time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := cl.Node(0).Stats().Get("heat_moves").Load(); got < 1 {
 		t.Fatalf("heat_moves = %d, want >= 1", got)
 	}

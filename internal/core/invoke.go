@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"time"
@@ -13,145 +12,7 @@ import (
 	"amber/internal/wire"
 )
 
-// action is the outcome of the entry protocol.
-type action uint8
-
-const (
-	actExecute action = iota + 1
-	actForward
-	actError
-)
-
 func valueOf(obj any) reflect.Value { return reflect.ValueOf(obj) }
-
-// resolve applies the entry protocol (§3.2–§3.3, §3.5) for msg on this node:
-//
-//   - resident → execute here. For opInvoke the descriptor is returned
-//     *pinned and unlocked*; the pin is taken atomically with the residency
-//     check, which closes the multiprocessor check-then-enter race of §3.5.
-//     For control operations the descriptor is returned *locked* (ownership
-//     of d.mu transfers to the executor).
-//   - forwarded → chase the forwarding address (§3.3).
-//   - uninitialized (absent) → forward to the home node computed from the
-//     address alone (§3.3).
-//   - moving → wait for the move to finish; exceptions: a thread already
-//     bound to the object may re-enter, and Locate answers immediately
-//     (the contents have not left yet).
-func (n *Node) resolve(msg *routedMsg) (d *descriptor, act action, to gaddr.NodeID, err error) {
-	d = n.desc(msg.Obj)
-	if d == nil {
-		a, t, e := n.homeFallback(msg.Obj)
-		return nil, a, t, e
-	}
-	// Fast path: for an invocation on a resident object, the residency check
-	// and the pin are one CAS on the packed state word — no shard lock, no
-	// descriptor mutex (§3.5). Everything else (moving, forwarded, deleted,
-	// control ops) falls through to the locked entry protocol below.
-	if (msg.Op == opInvoke || msg.Op == opChain) && d.TryPin() {
-		if d.Lease() {
-			// A reader-lease copy serves only local read-only invokes, and
-			// only while live; everything else chases back to the grantor.
-			if to, serve := n.leaseRedirect(d, msg); !serve {
-				n.unpin(d)
-				return nil, actForward, to, nil
-			}
-		}
-		return d, actExecute, 0, nil
-	}
-	d.Lock()
-	for {
-		switch st := d.State(); st {
-		case stateAbsent:
-			// Hint entry created but never initialized; treat as absent.
-			d.Unlock()
-			a, t, e := n.homeFallback(msg.Obj)
-			return nil, a, t, e
-		case stateDeleted:
-			d.Unlock()
-			return nil, actError, 0, fmt.Errorf("%w: %#x", ErrDeleted, uint64(msg.Obj))
-		case stateForwarded:
-			to := d.Fwd
-			d.Unlock()
-			return nil, actForward, to, nil
-		case stateResident:
-			if msg.Op == opInvoke || msg.Op == opChain {
-				d.PinLocked()
-				d.Unlock()
-				if d.Lease() {
-					if to, serve := n.leaseRedirect(d, msg); !serve {
-						n.unpin(d)
-						return nil, actForward, to, nil
-					}
-				}
-				return d, actExecute, 0, nil
-			}
-			if d.Lease() {
-				// Control operations (move, delete, locate, attach...) act on
-				// the real object, never on a cached lease copy: forward to
-				// the grantor, whose tombstones chase onward if it moved.
-				to := d.Payload.src
-				d.Unlock()
-				return nil, actForward, to, nil
-			}
-			return d, actExecute, 0, nil // d.mu held for control ops
-		case stateMoving:
-			switch {
-			case (msg.Op == opInvoke || msg.Op == opChain) && msg.Thread.pinned(msg.Obj):
-				// A bound thread re-entering the object it already
-				// occupies; the move is waiting on it anyway.
-				d.PinLocked()
-				d.Unlock()
-				return d, actExecute, 0, nil
-			case msg.Op == opLocate:
-				return d, actExecute, 0, nil // still here; d.mu held
-			default:
-				n.counts.Inc("entries_blocked_on_move")
-				d.Wait()
-			}
-		default:
-			d.Unlock()
-			return nil, actError, 0, fmt.Errorf("amber: descriptor in impossible state %d", st)
-		}
-	}
-}
-
-// homeFallback routes a reference with no local descriptor: first through the
-// location-hint cache (a warm §3.3 forwarding address learnt from replies and
-// oneway chain updates), then to the home node computed from the address
-// ("the kernel forwards the request to the object's home node").
-//
-// A hint pointing at a peer currently believed dead is dropped rather than
-// followed — hint-cache repair, so stale hints cannot keep routing threads
-// into a dead node — and the request falls back to the home path.
-func (n *Node) homeFallback(obj gaddr.Addr) (action, gaddr.NodeID, error) {
-	if at, ok := n.hintGet(obj); ok && at != n.id {
-		if n.ep.PeerDown(at) {
-			n.hintDrop(obj)
-			n.counts.Inc("hints_dropped_down")
-		} else {
-			n.cHintHits.Inc()
-			if n.tracer.On() {
-				n.tracer.Emit(trace.Event{Kind: trace.KHintHit, Obj: uint64(obj), Arg: int64(at)})
-			}
-			return actForward, at, nil
-		}
-	}
-	n.cHintMisses.Inc()
-	if n.tracer.On() {
-		n.tracer.Emit(trace.Event{Kind: trace.KHintMiss, Obj: uint64(obj)})
-	}
-	home := n.homeOf(obj)
-	if home == gaddr.NoNode {
-		return actError, 0, fmt.Errorf("%w: %#x (unallocated region)", ErrNoSuchObject, uint64(obj))
-	}
-	if home == n.id {
-		// We are the home node; if the object existed we would have a
-		// descriptor (creation initializes it here, and it survives as a
-		// forwarding tombstone after a move).
-		return actError, 0, fmt.Errorf("%w: %#x", ErrNoSuchObject, uint64(obj))
-	}
-	return actForward, home, nil
-}
 
 // invoke is the local entry point for an invocation by thread c. Local
 // invocations take the fast path — a residency check plus a direct
@@ -172,82 +33,56 @@ func (n *Node) invoke(c *Ctx, obj gaddr.Addr, method string, args []any, o callO
 				Parent: prev, Thread: c.rec.ID, Obj: uint64(obj), Label: method})
 		}()
 	}
-	for attempt := 0; ; attempt++ {
-		msg := routedMsg{Op: opInvoke, Obj: obj, Thread: c.rec, Method: method}
-		if o.readOnly {
-			msg.Flags |= rmFlagReadOnly
-		}
-		d, act, to, err := n.resolve(&msg)
-		switch act {
-		case actError:
-			return nil, err
-		case actExecute:
-			n.cInvokesLocal.Inc()
-			if n.heat != nil && !d.Immutable() && !d.Lease() {
-				// Local use defends a busy object against migration: the
-				// placement rule weighs remote callers against this lane.
-				// Lease copies are invisible to placement — migration
-				// decisions belong to the object's holder.
-				n.heatObserve(obj, n.id)
-			}
-			switch {
-			case d.Replica():
-				n.cReplicaHits.Inc()
-				if tr := n.tracer; tr.OnFor(c.rec.ID) {
-					tr.Emit(trace.Event{Kind: trace.KReplicaHit, Trace: c.rec.ID, Span: c.span,
-						Thread: c.rec.ID, Obj: uint64(obj)})
-				}
-			case d.Lease():
-				// PR5's zero-message warm read, generalized to mutable
-				// objects: served entirely from the local lease copy.
-				n.cLeaseHits.Inc()
-				if tr := n.tracer; tr.OnFor(c.rec.ID) {
-					tr.Emit(trace.Event{Kind: trace.KReplicaHit, Trace: c.rec.ID, Span: c.span,
-						Thread: c.rec.ID, Obj: uint64(obj)})
-				}
-			}
-			start := time.Now()
-			res, rerr := n.runPinned(c, d, obj, method, args, o.readOnly)
-			n.histLocal.Observe(time.Since(start))
-			return res, rerr
-		}
-		// Ship on a heap copy: shipInvoke leaks its msg into the marshal
-		// layer, and sharing one variable would force every local invoke to
-		// heap-allocate the routedMsg the fast path never ships.
-		smsg := msg
-		res, rerr := n.shipInvoke(c, &smsg, to, args, o)
-		if rerr != nil && staleRouteError(rerr) {
-			// A routed call that dead-ends may have been steered by a stale
-			// location hint; forget it and retry once through the home node.
-			if attempt == 0 && n.hintDrop(obj) {
-				n.counts.Inc("hint_retries")
-				if n.tracer.On() {
-					n.tracer.Emit(trace.Event{Kind: trace.KHintStaleRetry, Trace: c.rec.ID,
-						Span: c.span, Thread: c.rec.ID, Obj: uint64(obj)})
-				}
-				continue
-			}
-			// A lost chase ran out of hops replaying the movement history of
-			// an object that kept migrating ahead of it. Routing-lost replies
-			// are generated before any execution, so restarting with a fresh
-			// chain is safe; bounded so a true routing hole still surfaces.
-			if errors.Is(rerr, ErrRoutingLost) && attempt < 4 {
-				n.counts.Inc("routing_restarts")
-				continue
-			}
-		}
-		return res, rerr
+	msg := routedMsg{Op: opInvoke, Obj: obj, Thread: c.rec, Method: method}
+	if o.readOnly {
+		msg.Flags |= rmFlagReadOnly
 	}
+	l := n.newLadder(o)
+	var res []any
+	err := n.dispatch(&msg, &l, func(d *descriptor) (err error) {
+		res, err = n.runLocal(c, d, obj, method, args, o.readOnly)
+		return err
+	}, func(to gaddr.NodeID) (err error) {
+		// Ship a heap copy: the marshal layer leaks what it encodes, and
+		// sharing msg would heap-allocate the routedMsg of every local
+		// invoke, which never ships.
+		smsg := msg
+		res, err = n.shipInvoke(c, &smsg, to, args, o)
+		return err
+	})
+	return res, err
 }
 
-// staleRouteError reports whether err is consistent with routing through a
-// stale location hint (rather than a definite answer like ErrDeleted).
-// ErrNodeDown counts: the hint may have steered the call into a dead node
-// while the object lives elsewhere, so one retry through the home node is
-// warranted before giving up.
-func staleRouteError(err error) bool {
-	return errors.Is(err, ErrNoSuchObject) || errors.Is(err, ErrRoutingLost) ||
-		errors.Is(err, ErrNodeDown)
+// runLocal executes an invocation on an object resolve found resident here
+// (d arrives pinned; runPinned releases it), with the bookkeeping every local
+// entry point shares — so placement and hit accounting are blind to which
+// API issued the call.
+func (n *Node) runLocal(c *Ctx, d *descriptor, obj gaddr.Addr, method string, args []any, readOnly bool) ([]any, error) {
+	n.cInvokesLocal.Inc()
+	if n.heat != nil && !d.Immutable() && !d.Lease() {
+		// Local use defends a busy object against migration: the placement
+		// rule weighs remote callers against this lane. Lease copies are
+		// invisible to placement — migration decisions belong to the
+		// object's holder.
+		n.heatObserve(obj, n.id)
+	}
+	if replica := d.Replica(); replica || d.Lease() {
+		// A warm read served entirely from a local copy: an immutable
+		// replica, or its generalization to mutable objects, a lease copy.
+		if replica {
+			n.cReplicaHits.Inc()
+		} else {
+			n.cLeaseHits.Inc()
+		}
+		if tr := n.tracer; tr.OnFor(c.rec.ID) {
+			tr.Emit(trace.Event{Kind: trace.KReplicaHit, Trace: c.rec.ID, Span: c.span,
+				Thread: c.rec.ID, Obj: uint64(obj)})
+		}
+	}
+	start := time.Now()
+	res, err := n.runPinned(c, d, obj, method, args, readOnly)
+	n.histLocal.Observe(time.Since(start))
+	return res, err
 }
 
 // shipInvoke marshals the invocation and moves the thread to the object's
@@ -258,19 +93,13 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 	start := time.Now()
 	// The arguments are encoded in place, inside the message's own buffer.
 	msg.ArgVals = vals(args)
-	msg.Thread = c.rec // pins travel with the thread (§3.5)
-	msg.Chain = append(msg.Chain, n.id)
-	if msg.Op == opInvoke && n.replicaOn {
+	if n.replicaOn {
 		// Advertise willingness to receive a piggybacked snapshot: if the
 		// executor finds the object immutable (replica) or cacheable and the
 		// call read-only (reader lease), the reply carries the bytes and this
 		// node installs a local copy.
 		msg.SnapMax = n.replicaMax
 		msg.Flags |= rmFlagLeaseOK
-	}
-	body, err := wire.MarshalInto(msg)
-	if err != nil {
-		return nil, err
 	}
 	n.counts.Inc("invokes_shipped")
 	// The trace context travels in the rpc envelope: the executor's events
@@ -281,10 +110,7 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 		tr.Emit(trace.Event{Kind: trace.KMigrateOut, Trace: c.rec.ID, Span: c.span,
 			Thread: c.rec.ID, Obj: uint64(msg.Obj), Arg: int64(to)})
 	}
-	var resp []byte
-	var rerr error
-	c.Block(func() { resp, rerr = n.callWith(to, procRouted, body, ti, o) })
-	wire.PutBuf(body) // the rpc layer sent a copy
+	resp, err := n.send(c, msg, to, ti, o)
 	elapsed := time.Since(start)
 	n.histRemote.Observe(elapsed)
 	if ti.TraceID != 0 {
@@ -292,53 +118,14 @@ func (n *Node) shipInvoke(c *Ctx, msg *routedMsg, to gaddr.NodeID, args []any, o
 		// a p99 spike on /metrics links to the journey behind it.
 		n.exRemote.Note(elapsed, ti.TraceID)
 	}
-	if rerr != nil {
-		return nil, mapRemoteError(rerr)
+	if err != nil {
+		return nil, err
 	}
 	if tr := n.tracer; tr.OnFor(c.rec.ID) {
 		tr.Emit(trace.Event{Kind: trace.KMigrateIn, Trace: c.rec.ID, Span: c.span,
 			Thread: c.rec.ID, Obj: uint64(msg.Obj), Arg: int64(n.id)})
 	}
-	var ir invokeReply
-	if err := wire.UnmarshalFrom(resp, &ir); err != nil {
-		wire.PutBuf(resp)
-		return nil, err
-	}
-	// Return-time check accounting (§3.5): the thread returns to this node;
-	// its enclosing object, if any, is pinned by this same thread and is
-	// therefore still resident — under the drain protocol the check cannot
-	// fail, which is exactly why the protocol is safe.
-	n.counts.Inc("return_checks")
-	n.learnLocation(msg.Obj, ir.Node, ir.Epoch)
-	if ir.Immutable {
-		// The call shipped to an immutable object: a miss this replica layer
-		// could have absorbed. Install asynchronously so the decode is not
-		// charged to this (cold) call's latency; ir.SnapState aliases resp, so
-		// hand the goroutine an owned copy before the buffer is pooled.
-		n.cReplicaMiss.Inc()
-		if n.replicaOn && ir.SnapType != "" {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: msg.Obj, from: ir.Node, typ: ir.SnapType, state: owned, epoch: ir.Epoch,
-			})
-		}
-	} else if ir.Lease {
-		// The executor granted a reader lease on a cacheable mutable object:
-		// install the copy so subsequent read-only invokes stay local until
-		// the grantor's next write revokes it (or the TTL runs out).
-		if n.replicaOn && ir.SnapType != "" && ir.LeaseNs > 0 {
-			owned := append([]byte(nil), ir.SnapState...)
-			n.queueReplicaInstall(replicaInstall{
-				obj: msg.Obj, from: ir.Node, typ: ir.SnapType, state: owned,
-				epoch: ir.Epoch, lease: true, ttl: int64(ir.LeaseNs),
-			})
-		}
-	}
-	// ir.Results aliases resp; UnmarshalArgs copies the values out, after
-	// which the reply buffer can go back to the pool.
-	out, err := wire.UnmarshalArgs(ir.Results)
-	wire.PutBuf(resp)
-	return out, err
+	return n.replyLeg(msg.Obj, resp)
 }
 
 // learnLocation caches where an object was last seen (the originating node's
@@ -460,268 +247,141 @@ func (n *Node) handleRouted(rc *rpc.Ctx) {
 		rc.Reply(nil, err)
 		return
 	}
-	if len(msg.Chain) > n.cfg.MaxHops {
-		n.counts.Inc("routing_lost")
-		tail := msg.Chain
-		if len(tail) > 12 {
-			tail = tail[len(tail)-12:]
-		}
-		rc.Reply(nil, fmt.Errorf("%w: %s %#x after %d hops (tail %v)",
-			ErrRoutingLost, msg.Op, uint64(msg.Obj), len(msg.Chain), tail))
-		return
-	}
-	for retries := 0; ; retries++ {
-		d, act, to, err := n.resolve(&msg)
-		switch act {
-		case actError:
-			rc.Reply(nil, err)
-			return
-		case actExecute:
-			err := n.executeRouted(rc, d, &msg)
-			if err == nil {
-				return
-			}
-			if errors.Is(err, errRetryRoute) && retries < 256 {
-				time.Sleep(500 * time.Microsecond)
-				continue
-			}
-			rc.Reply(nil, err)
-			return
-		case actForward:
-			// Note: revisiting a node is legitimate — an object can move
-			// back to a node a request already passed through, and the
-			// node's descriptor will have changed by the second visit.
-			// True cycles cannot exist because a destination is made
-			// resident *before* the source flips to forwarded, so every
-			// forwarding pointer points forward in time; MaxHops is only a
-			// backstop. A self-pointer would be a bug: wait it out.
-			if to == n.id {
-				if retries < 64 {
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				n.counts.Inc("routing_lost")
-				rc.Reply(nil, fmt.Errorf("%w: %s %#x", ErrRoutingLost, msg.Op, uint64(msg.Obj)))
-				return
-			}
-			// Forwarding-chain repair: refuse to forward into a peer this
-			// node believes dead — answer the origin with ErrNodeDown now
-			// instead of letting the request vanish into silence. The async
-			// watch below is what taught us (and keeps re-checking, so a
-			// restarted peer becomes routable again within the recheck
-			// window).
-			if n.ep.PeerDown(to) {
-				n.counts.Inc("forwards_refused_down")
-				rc.Reply(nil, fmt.Errorf("%w: next hop %d for %s %#x",
-					ErrNodeDown, to, msg.Op, uint64(msg.Obj)))
-				return
-			}
-			n.ep.WatchPeer(to)
-			// A long chain means we are chasing an object that migrates
-			// about as fast as we follow (possible only on a fabric with no
-			// latency; Ethernet latency dwarfed move rates on the original
-			// system). Forward immediately: every tombstone points forward
-			// in time, so the chase replays the object's movement history
-			// and wins as soon as it arrives inside any residency window —
-			// sleeping here only lets more moves pile up ahead of us.
-			// MaxHops bounds the chase; the origin restarts it with a fresh
-			// chain if the history is longer than that.
-			msg.Chain = append(msg.Chain, n.id)
-			body, merr := wire.MarshalInto(&msg)
-			if merr != nil {
-				rc.Reply(nil, merr)
-				return
-			}
-			n.counts.Inc("forwards")
-			if n.tracer.On() {
-				n.tracer.Emit(trace.Event{Kind: trace.KForward, Trace: rc.Trace.TraceID,
-					Span: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Arg: int64(to)})
-			}
-			if ferr := rc.Forward(to, procRouted, body); ferr != nil {
-				n.counts.Inc("forward_failed")
-			}
-			wire.PutBuf(body) // Forward sent a copy
-			return
-		}
+	err := n.dispatch(&msg, nil, func(d *descriptor) error {
+		return n.executeRouted(rc, d, &msg)
+	}, func(to gaddr.NodeID) error {
+		return n.forward(rc, &msg, to)
+	})
+	if err != nil {
+		rc.Reply(nil, err)
 	}
 }
 
 // executeRouted performs a routed operation that resolve directed at this
-// node. Lock contract: for opInvoke, d arrives pinned and unlocked; for all
-// other ops, d arrives locked and the per-op executor releases it.
-// Returns nil when a reply or forward has been sent; errRetryRoute to re-run
-// the entry protocol; any other error for the caller to report.
+// node. Lock contract: for opInvoke and opChain, d arrives pinned and
+// unlocked; for the control ops, d arrives locked and the executor releases
+// it. Returns nil when a reply or forward has been sent; a retryRoute to
+// re-run the entry protocol; any other error for the caller to report.
 func (n *Node) executeRouted(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
 	switch msg.Op {
 	case opInvoke:
-		// Scratch decode: the argument vector dies with this call (user code
-		// receives the values, never the spine), so the []any comes from the
-		// wire package's pool and goes back once the operation has run.
-		args, err := wire.UnmarshalArgsScratch(msg.Args)
-		if err != nil {
-			n.unpin(d)
-			return err
-		}
-		// The migrated thread resumes here with its identity and bindings
-		// (§3.4): this context *is* the thread, executing on this node now.
-		c := &Ctx{node: n, rec: msg.Thread}
-		// The arriving thread's journey continues under the shipping span
-		// carried by the rpc envelope: this execution span parents under it.
-		tr := n.tracer
-		tid := rc.Trace.TraceID
-		if tid == 0 {
-			tid = msg.Thread.ID // origin was not tracing (or sampled out); stitch locally
-		}
-		// Sampling is by journey: both ends apply the same modulus to the
-		// same thread ID, so a sampled journey is whole across nodes.
-		traced := tr.OnFor(tid)
-		if traced {
-			c.span = tr.NextSpan()
-			tr.Emit(trace.Event{Kind: trace.KMigrateIn, Trace: tid, Span: c.span,
-				Parent: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Arg: int64(rc.From)})
-			tr.Emit(trace.Event{Kind: trace.KExecStart, Trace: tid, Span: c.span,
-				Parent: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Label: msg.Method})
-		}
-		n.counts.Inc("invokes_executed_for_remote")
-		if n.heat != nil && !d.Immutable() {
-			// Attribute the invoke to the thread's origin node: the dominant
-			// caller is where the object should live (§4).
-			n.heatObserve(msg.Obj, rc.Origin)
-		}
-		// Read the epoch while still pinned: a pin holds off the shipment, so
-		// this is the version of the residency that executes the call.
-		epoch := d.Epoch()
-		// Classify read-vs-write while still pinned (the pin licenses the
-		// payload read): the classification picks the coherence-lock side in
-		// runPinned and decides whether this reply may carry a reader lease.
-		readOnly := msg.Flags&rmFlagReadOnly != 0
-		if !readOnly {
-			if ti := d.Payload.ti; ti != nil {
-				if mi, ok := ti.methods[msg.Method]; ok {
-					readOnly = mi.readOnly
-				}
-			}
-		}
-		grantable := readOnly && n.leaseTTL > 0 && msg.Flags&rmFlagLeaseOK != 0 &&
-			msg.SnapMax > 0 && d.Leasable() && !d.Immutable() && rc.Origin != n.id
-		start := time.Now()
-		results, err := n.runPinned(c, d, msg.Obj, msg.Method, args, readOnly)
-		wire.PutArgs(args)
-		elapsed := time.Since(start)
-		n.histExec.Observe(elapsed)
-		if traced {
-			n.exExec.Note(elapsed, tid)
-			tr.Emit(trace.Event{Kind: trace.KExecEnd, Trace: tid, Span: c.span,
-				Parent: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Label: msg.Method})
-			tr.Emit(trace.Event{Kind: trace.KMigrateOut, Trace: tid, Span: c.span,
-				Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Arg: int64(rc.Origin)})
-		}
-		if !readOnly && d.Leasable() {
-			// runPinned's write fence bumped the residency epoch; the reply's
-			// location claim (and the chain updates below) must carry the
-			// post-write version so stale caches cannot outrank it.
-			epoch = d.Epoch()
-		}
-		if err != nil {
-			rc.Reply(nil, err)
-			n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
-			return nil
-		}
-		// Read-path replication (§2.3): if the origin asked for a snapshot and
-		// the object is immutable, piggyback its encoding on this reply so the
-		// origin installs a local replica in the same round trip. The mutable
-		// generalization: a read-only invoke on a cacheable object piggybacks
-		// a reader lease instead (state + epoch + lifetime).
-		ir := invokeReply{ResultVals: results, Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
-		if msg.SnapMax > 0 && ir.Immutable {
-			ir.SnapType, ir.SnapState = n.replicaSnapshot(d, msg.SnapMax)
-		} else if grantable {
-			n.leaseGrantTo(rc.Origin, d, msg.Obj, msg.SnapMax, &ir)
-			if ir.Lease {
-				epoch = ir.Epoch // the grant's residency claim (may be newer)
-			}
-		}
-		body, err := wire.MarshalInto(&ir)
-		if err != nil {
-			rc.Reply(nil, err) // a result value the codec cannot carry
-			return nil
-		}
-		rc.Reply(body, nil)
-		wire.PutBuf(body) // Reply sent a copy
-		n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
-		return nil
-
+		return n.executeInvoke(rc, d, msg)
 	case opChain:
 		return n.executeChain(rc, d, msg)
-
-	case opLocate:
-		rep := locateReply{Node: n.id, Immutable: d.Immutable(), Epoch: d.Epoch()}
-		d.Unlock()
-		body, err := wire.MarshalInto(&rep)
-		rc.Reply(body, err)
-		wire.PutBuf(body)
-		n.counts.Inc("locates_answered")
-		n.sendChainUpdates(msg.Obj, rep.Epoch, msg.Chain, rc.Origin)
-		return nil
-
-	case opMove:
-		rep, err := n.executeMove(d, msg, false)
-		if err != nil {
-			return err
-		}
-		body, err := wire.MarshalInto(&rep)
-		rc.Reply(body, err)
-		wire.PutBuf(body)
-		return nil
-
-	case opSetImmutable:
-		if err := n.executeSetImmutable(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opSetCacheable:
-		if err := n.executeSetCacheable(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opDelete:
-		if err := n.executeDelete(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opAttach:
-		fwd, err := n.executeAttach(d, msg)
-		if err != nil {
-			return err
-		}
-		if fwd != gaddr.NoNode {
-			msg.Chain = append(msg.Chain, n.id)
-			body, merr := wire.MarshalInto(msg)
-			if merr != nil {
-				return merr
-			}
-			ferr := rc.Forward(fwd, procRouted, body)
-			wire.PutBuf(body)
-			return ferr
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	case opUnattach:
-		if err := n.executeUnattach(d, msg); err != nil {
-			return err
-		}
-		rc.Reply(nil, nil)
-		return nil
-
-	default:
-		d.Unlock()
-		return fmt.Errorf("amber: unknown routed op %d", msg.Op)
 	}
+	rep, err := n.executeControl(d, msg, rc.Origin)
+	if err != nil {
+		return err
+	}
+	var body []byte
+	if rep != nil {
+		if body, err = wire.MarshalInto(rep); err != nil {
+			return err
+		}
+	}
+	rc.Reply(body, nil)
+	wire.PutBuf(body) // Reply sent a copy
+	return nil
+}
+
+// executeInvoke runs an arriving invocation on d (pinned) and replies to the
+// origin.
+func (n *Node) executeInvoke(rc *rpc.Ctx, d *descriptor, msg *routedMsg) error {
+	// Scratch decode: the argument vector dies with this call (user code
+	// receives the values, never the spine), so the []any comes from the
+	// wire package's pool and goes back once the operation has run.
+	args, err := wire.UnmarshalArgsScratch(msg.Args)
+	if err != nil {
+		n.unpin(d)
+		return err
+	}
+	// The migrated thread resumes here with its identity and bindings
+	// (§3.4): this context *is* the thread, executing on this node now.
+	c := &Ctx{node: n, rec: msg.Thread}
+	// The arriving thread's journey continues under the shipping span
+	// carried by the rpc envelope: this execution span parents under it.
+	tr := n.tracer
+	tid := rc.Trace.TraceID
+	if tid == 0 {
+		tid = msg.Thread.ID // origin was not tracing (or sampled out); stitch locally
+	}
+	// Sampling is by journey: both ends apply the same modulus to the
+	// same thread ID, so a sampled journey is whole across nodes.
+	traced := tr.OnFor(tid)
+	if traced {
+		c.span = tr.NextSpan()
+		tr.Emit(trace.Event{Kind: trace.KMigrateIn, Trace: tid, Span: c.span,
+			Parent: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Arg: int64(rc.From)})
+		tr.Emit(trace.Event{Kind: trace.KExecStart, Trace: tid, Span: c.span,
+			Parent: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Label: msg.Method})
+	}
+	n.counts.Inc("invokes_executed_for_remote")
+	if n.heat != nil && !d.Immutable() {
+		// Attribute the invoke to the thread's origin node: the dominant
+		// caller is where the object should live (§4).
+		n.heatObserve(msg.Obj, rc.Origin)
+	}
+	// Read the epoch while still pinned: a pin holds off the shipment, so
+	// this is the version of the residency that executes the call.
+	epoch := d.Epoch()
+	// Classify read-vs-write while still pinned (the pin licenses the
+	// payload read): the classification picks the coherence-lock side in
+	// runPinned and decides whether this reply may carry a reader lease.
+	readOnly := msg.Flags&rmFlagReadOnly != 0
+	if !readOnly {
+		if ti := d.Payload.ti; ti != nil {
+			if mi, ok := ti.methods[msg.Method]; ok {
+				readOnly = mi.readOnly
+			}
+		}
+	}
+	grantable := readOnly && n.leaseTTL > 0 && msg.Flags&rmFlagLeaseOK != 0 &&
+		msg.SnapMax > 0 && d.Leasable() && !d.Immutable() && rc.Origin != n.id
+	start := time.Now()
+	results, err := n.runPinned(c, d, msg.Obj, msg.Method, args, readOnly)
+	wire.PutArgs(args)
+	elapsed := time.Since(start)
+	n.histExec.Observe(elapsed)
+	if traced {
+		n.exExec.Note(elapsed, tid)
+		tr.Emit(trace.Event{Kind: trace.KExecEnd, Trace: tid, Span: c.span,
+			Parent: rc.Trace.SpanID, Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Label: msg.Method})
+		tr.Emit(trace.Event{Kind: trace.KMigrateOut, Trace: tid, Span: c.span,
+			Thread: msg.Thread.ID, Obj: uint64(msg.Obj), Arg: int64(rc.Origin)})
+	}
+	if !readOnly && d.Leasable() {
+		// runPinned's write fence bumped the residency epoch; the reply's
+		// location claim (and the chain updates below) must carry the
+		// post-write version so stale caches cannot outrank it.
+		epoch = d.Epoch()
+	}
+	if err != nil {
+		rc.Reply(nil, err)
+		n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
+		return nil
+	}
+	// Read-path replication (§2.3): if the origin asked for a snapshot and
+	// the object is immutable, piggyback its encoding on this reply so the
+	// origin installs a local replica in the same round trip. The mutable
+	// generalization: a read-only invoke on a cacheable object piggybacks
+	// a reader lease instead (state + epoch + lifetime).
+	ir := invokeReply{ResultVals: results, Node: n.id, Epoch: epoch, Immutable: d.Immutable()}
+	if msg.SnapMax > 0 && ir.Immutable {
+		ir.SnapType, ir.SnapState = n.replicaSnapshot(d, msg.SnapMax)
+	} else if grantable {
+		n.leaseGrantTo(rc.Origin, d, msg.Obj, msg.SnapMax, &ir)
+		if ir.Lease {
+			epoch = ir.Epoch // the grant's residency claim (may be newer)
+		}
+	}
+	body, err := wire.MarshalInto(&ir)
+	if err != nil {
+		rc.Reply(nil, err) // a result value the codec cannot carry
+		return nil
+	}
+	rc.Reply(body, nil)
+	wire.PutBuf(body) // Reply sent a copy
+	n.sendChainUpdates(msg.Obj, epoch, msg.Chain, rc.Origin)
+	return nil
+
 }

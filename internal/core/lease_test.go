@@ -456,3 +456,75 @@ func TestLeasePurgeOnPeerDeath(t *testing.T) {
 		t.Error("read after purge was served by the purged lease copy")
 	}
 }
+
+// SlowLeased is LeasedCounter with a slow read, long enough to hold a lease
+// copy pinned while a write's revoke lands.
+type SlowLeased struct{ N int }
+
+func (c *SlowLeased) Add(n int) int { c.N += n; return c.N }
+func (c *SlowLeased) Get() int      { return c.N }
+func (c *SlowLeased) SlowGet(ms int) int {
+	time.Sleep(time.Duration(ms) * time.Millisecond)
+	return c.N
+}
+
+// AmberReadOnly declares both reads non-mutating.
+func (c *SlowLeased) AmberReadOnly() []string { return []string{"Get", "SlowGet"} }
+
+// TestLeaseRevokedPinnedCopyNeverRenewed is the stale-read regression: a
+// revoke that lands while a local read holds the lease copy pinned zeroes
+// the copy's expiry and advances its epoch but cannot drop its payload. The
+// next grant at that epoch carries the written value, and must replace the
+// dead copy (once unpinned), never renew it.
+func TestLeaseRevokedPinnedCopyNeverRenewed(t *testing.T) {
+	cl := newLeaseCluster(t, 2, 5*time.Second)
+	if err := cl.Register(&SlowLeased{}); err != nil {
+		t.Fatal(err)
+	}
+	owner, reader := cl.Node(1).Root(), cl.Node(0).Root()
+	ref := mustNew(t, owner, &SlowLeased{})
+	if err := owner.SetCacheable(ref); err != nil {
+		t.Fatal(err)
+	}
+	// 1. Node 0 takes a lease.
+	readUntilLeaseHit(t, cl, 0, ref, 0)
+	// 2. A 300 ms read pins node 0's lease copy.
+	hits := cl.Node(0).Stats().Value("lease_hits")
+	slow := reader.AsyncInvoke(ref, "SlowGet", 300)
+	waitCounter(t, cl.Node(0), "lease_hits", hits+1)
+	// 3. The owner writes; its fence revokes the pinned copy.
+	if _, err := owner.Invoke(ref, "Add", 1); err != nil {
+		t.Fatal(err)
+	}
+	// 4. One read from node 0 forwards to the owner, sees the write, and
+	// brings back a grant at the revoke's epoch; wait for the installer to
+	// act on it while the slow read still holds the old copy.
+	settled := func() int64 {
+		s := cl.Node(0).Stats()
+		return s.Value("lease_renewals") + s.Value("lease_installs_dropped") + s.Value("lease_installs")
+	}
+	before := settled()
+	if out, err := reader.Invoke(ref, "Get"); err != nil || out[0].(int) != 1 {
+		t.Fatalf("read after write = %v, %v; want 1", out, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); settled() == before; {
+		if time.Now().After(deadline) {
+			t.Fatal("the grant from the post-write read was never processed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := slow.Join(reader); err != nil {
+		t.Fatal(err)
+	}
+	// 5. Every later read on node 0 must see the write.
+	for i := 0; i < 20; i++ {
+		out, err := reader.Invoke(ref, "Get")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0].(int) != 1 {
+			t.Fatalf("read %d after the slow read ended = %v, want 1 (stale lease revived)", i, out[0])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -11,10 +11,6 @@ import (
 	"amber/internal/wire"
 )
 
-// errRetryRoute is an internal sentinel: the descriptor's state changed
-// between routing and execution; re-run the entry protocol.
-var errRetryRoute = errors.New("amber: internal: retry routing")
-
 // errWouldDefer is an internal sentinel: the move would have to defer until
 // the requesting thread unpins, and the caller asked for no deferral
 // (executeMove with noDefer). Returned before any member is marked, so the
@@ -201,8 +197,8 @@ func (n *Node) installRemote(dest gaddr.NodeID, msg *installMsg) error {
 }
 
 // executeMove performs opMove at the node where the object is resident.
-// Contract: d.mu is held on entry and released by this function. Returns
-// errRetryRoute if the state changed under us. With noDefer set, a move
+// Contract: d.mu is held on entry and released by this function. Returns a
+// retryRoute if the state changed under us. With noDefer set, a move
 // that would defer (the requesting thread is bound to a component member)
 // fails with errWouldDefer *before* any member is marked stateMoving, so
 // the caller can surface an error without the component migrating anyway.
@@ -244,9 +240,6 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 	// concurrently.
 	addrs, mems, shards, err := n.lockComponent(msg.Obj)
 	if err != nil {
-		if errors.Is(err, errRetryRoute) {
-			return moveReply{}, errRetryRoute
-		}
 		return moveReply{}, err
 	}
 	// Requester-bound detection (the self-move of §3.5). The thread's pin
@@ -267,12 +260,15 @@ func (n *Node) executeMove(d *descriptor, msg *routedMsg, noDefer bool) (moveRep
 	op := &moveOp{node: n, dest: dest, addrs: addrs, mems: mems, drained: make(chan struct{})}
 
 	// Veto phase: every member must agree to move.
-	for _, m := range mems {
+	for i, m := range mems {
 		m.Lock()
-		if m.State() != stateResident {
+		if st := m.State(); st != stateResident {
 			m.Unlock()
 			n.space.UnlockMove(shards)
-			return moveReply{}, errRetryRoute
+			if i == 0 { // the root: the object being moved
+				return moveReply{}, errRetryRoute
+			}
+			return moveReply{}, retryOn(m, addrs[i], st)
 		}
 		ti := m.Payload.ti
 		if ti == nil || !ti.serializable {
@@ -381,7 +377,7 @@ func (n *Node) lockComponent(root gaddr.Addr) (addrs []gaddr.Addr, mems []*descr
 			return addrs, mems, shards, nil
 		}
 		n.space.UnlockMove(shards)
-		if attempt >= 64 {
+		if attempt >= maxReroutes {
 			return nil, nil, nil, fmt.Errorf("amber: attachment component of %#x would not settle", uint64(root))
 		}
 		n.counts.Inc("component_lock_retries")
@@ -410,9 +406,12 @@ func (n *Node) component(root gaddr.Addr) ([]gaddr.Addr, []*descriptor, error) {
 			return nil, nil, fmt.Errorf("amber: attachment component member %#x missing locally", uint64(a))
 		}
 		d.Lock()
-		if d.State() != stateResident {
+		if st := d.State(); st != stateResident {
 			d.Unlock()
-			return nil, nil, errRetryRoute
+			if a == root {
+				return nil, nil, errRetryRoute
+			}
+			return nil, nil, retryOn(d, a, st)
 		}
 		peers := d.AttachPeers()
 		d.Unlock()
@@ -565,62 +564,32 @@ func (n *Node) executeDelete(d *descriptor, msg *routedMsg) error {
 	return nil
 }
 
-// waitPinsLocked waits (holding d.mu, via the condition variable) until the
-// pin count reaches zero or the timeout expires. Reports success.
-//
-// The waiter registration brackets the entire loop — including the first
-// pin-count check — because the predicate races with the lock-free Unpin
-// fast path: only once the waiter flag is up is every unpin guaranteed to
-// broadcast (see Descriptor.Wait).
-func waitPinsLocked(d *descriptor, timeout time.Duration) bool {
-	d.AddWaiter()
-	defer d.RemoveWaiter()
-	if d.Pins() == 0 {
-		return true
-	}
-	deadline := time.Now().Add(timeout)
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		d.Lock()
-		expired = true
-		d.Broadcast()
-		d.Unlock()
-	})
-	defer timer.Stop()
-	for d.Pins() > 0 {
-		if expired || time.Now().After(deadline) {
-			return false
-		}
-		d.CondWait()
-	}
-	return true
-}
-
 // executeAttach runs at the node where the child (msg.Obj) resides; the
 // parent is msg.Peer. If the two are not co-resident the child's component
-// first migrates to the parent's node and the request is re-routed there
-// (forwardTo). Contract: d.mu held on entry, released here.
-func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.NodeID, err error) {
+// first migrates to the parent's node, and the retryRoute returned then
+// re-routes the request after it, to complete there. Contract: d.mu held on
+// entry, released here.
+func (n *Node) executeAttach(d *descriptor, msg *routedMsg) error {
 	if d.State() != stateResident {
 		d.Unlock()
-		return gaddr.NoNode, errRetryRoute
+		return errRetryRoute
 	}
 	if msg.Obj == msg.Peer {
 		d.Unlock()
-		return gaddr.NoNode, fmt.Errorf("%w: cannot attach an object to itself", ErrBadArgument)
+		return fmt.Errorf("%w: cannot attach an object to itself", ErrBadArgument)
 	}
 	if d.Immutable() {
 		d.Unlock()
-		return gaddr.NoNode, fmt.Errorf("%w: immutable objects cannot be attached", ErrNotMovable)
+		return fmt.Errorf("%w: immutable objects cannot be attached", ErrNotMovable)
 	}
 	d.Unlock()
 
 	loc, imm, lerr := n.locateInternal(msg.Peer)
 	if lerr != nil {
-		return gaddr.NoNode, lerr
+		return lerr
 	}
 	if imm {
-		return gaddr.NoNode, fmt.Errorf("%w: cannot attach to an immutable object", ErrNotMovable)
+		return fmt.Errorf("%w: cannot attach to an immutable object", ErrNotMovable)
 	}
 
 	if loc != n.id {
@@ -632,12 +601,12 @@ func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.Nod
 		d.Lock()
 		_, merr := n.executeMove(d, &mv, true) // releases d.mu
 		if errors.Is(merr, errWouldDefer) {
-			return gaddr.NoNode, fmt.Errorf("%w: attach from inside the attached object", ErrNotMovable)
+			return fmt.Errorf("%w: attach from inside the attached object", ErrNotMovable)
 		}
 		if merr != nil {
-			return gaddr.NoNode, merr
+			return merr
 		}
-		return loc, nil
+		return errRetryRoute
 	}
 
 	// Both here: take the move locks of the two shards involved (ascending,
@@ -649,7 +618,7 @@ func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.Nod
 	defer n.space.UnlockMove(shards)
 	pd := n.desc(msg.Peer)
 	if pd == nil {
-		return gaddr.NoNode, errRetryRoute // parent moved away between locate and now
+		return errRetryRoute // parent moved away between locate and now
 	}
 	first, second := d, pd
 	if msg.Peer < msg.Obj {
@@ -659,16 +628,23 @@ func (n *Node) executeAttach(d *descriptor, msg *routedMsg) (forwardTo gaddr.Nod
 	second.Lock()
 	defer first.Unlock()
 	defer second.Unlock()
-	if d.State() != stateResident || pd.State() != stateResident {
-		return gaddr.NoNode, errRetryRoute
+	if d.State() != stateResident {
+		return errRetryRoute
+	}
+	switch st := pd.State(); st {
+	case stateMoving:
+		return retryOn(pd, msg.Peer, st)
+	case stateResident:
+	default:
+		return errRetryRoute // the parent left between locate and now
 	}
 	if pd.Immutable() {
-		return gaddr.NoNode, fmt.Errorf("%w: cannot attach to an immutable object", ErrNotMovable)
+		return fmt.Errorf("%w: cannot attach to an immutable object", ErrNotMovable)
 	}
 	d.AddAttach(msg.Peer)
 	pd.AddAttach(msg.Obj)
 	n.counts.Inc("attaches")
-	return gaddr.NoNode, nil
+	return nil
 }
 
 // executeUnattach removes an attachment edge; both objects are co-resident
@@ -693,63 +669,40 @@ func (n *Node) executeUnattach(d *descriptor, msg *routedMsg) error {
 		first, second = pd, d
 	}
 	first.Lock()
+	defer first.Unlock()
 	if second != nil && second != first {
 		second.Lock()
+		defer second.Unlock()
+	}
+	// A move may have marked the component between the check above and the
+	// move locks. Its shipment snapshots members one at a time, so an edge
+	// removed now could travel on one side only: let the move finish, then
+	// re-route after the object.
+	if d.State() != stateResident {
+		return errRetryRoute
+	}
+	if pd != nil && pd.State() == stateMoving {
+		return retryOn(pd, msg.Peer, stateMoving)
 	}
 	if !d.HasAttach(msg.Peer) {
-		if second != nil && second != first {
-			second.Unlock()
-		}
-		first.Unlock()
 		return fmt.Errorf("%w: %#x and %#x", ErrNotAttached, uint64(msg.Obj), uint64(msg.Peer))
 	}
 	d.RemoveAttach(msg.Peer)
 	if pd != nil {
 		pd.RemoveAttach(msg.Obj)
 	}
-	if second != nil && second != first {
-		second.Unlock()
-	}
-	first.Unlock()
 	n.counts.Inc("unattaches")
 	return nil
 }
 
 // locateInternal resolves an object's current residence (kernel-level, no
-// thread context).
+// thread context): a Locate through the same engine and ladder as Ctx.Locate.
 func (n *Node) locateInternal(obj gaddr.Addr) (gaddr.NodeID, bool, error) {
 	msg := routedMsg{Op: opLocate, Obj: obj}
-	for retries := 0; ; retries++ {
-		d, act, to, err := n.resolve(&msg)
-		switch act {
-		case actError:
-			return gaddr.NoNode, false, err
-		case actExecute:
-			node, imm := n.id, d.Immutable()
-			d.Unlock()
-			return node, imm, nil
-		case actForward:
-			msg.Chain = append(msg.Chain, n.id)
-			if len(msg.Chain) > n.cfg.MaxHops {
-				return gaddr.NoNode, false, ErrRoutingLost
-			}
-			body, merr := wire.MarshalInto(&msg)
-			if merr != nil {
-				return gaddr.NoNode, false, merr
-			}
-			resp, cerr := n.call(to, procRouted, body)
-			wire.PutBuf(body)
-			if cerr != nil {
-				return gaddr.NoNode, false, mapRemoteError(cerr)
-			}
-			var lr locateReply
-			derr := wire.UnmarshalFrom(resp, &lr)
-			wire.PutBuf(resp)
-			if derr != nil {
-				return gaddr.NoNode, false, derr
-			}
-			n.learnLocation(obj, lr.Node, lr.Epoch)
-			return lr.Node, lr.Immutable, nil
-		}
+	rep, err := n.control(nil, &msg, callOpts{})
+	if err != nil {
+		return gaddr.NoNode, false, err
 	}
+	lr := rep.(*locateReply)
+	return lr.Node, lr.Immutable, nil
 }

@@ -36,8 +36,6 @@ type NodeConfig struct {
 	// leave the object (0 = 10s). Prevents cross-move deadlocks from
 	// hanging forever.
 	MoveDrainTimeout time.Duration
-	// MaxHops bounds forwarding-chain traversal (0 = 64).
-	MaxHops int
 	// RegionsPerGrant is how many address-space regions to request per
 	// server round trip (0 = 4).
 	RegionsPerGrant int
@@ -135,9 +133,6 @@ func (c *NodeConfig) fill() {
 	}
 	if c.MoveDrainTimeout == 0 {
 		c.MoveDrainTimeout = 10 * time.Second
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 128
 	}
 	if c.RegionsPerGrant == 0 {
 		c.RegionsPerGrant = 4
@@ -614,11 +609,6 @@ func (n *Node) handleRegion(c *rpc.Ctx) {
 // call performs an internode request honouring the node's RPC timeout.
 func (n *Node) call(to gaddr.NodeID, p rpc.Proc, body []byte) ([]byte, error) {
 	return n.ep.CallTimeout(to, p, body, n.cfg.RPCTimeout)
-}
-
-// callTraced is call with an explicit trace context in the envelope.
-func (n *Node) callTraced(to gaddr.NodeID, p rpc.Proc, body []byte, ti rpc.TraceInfo) ([]byte, error) {
-	return n.ep.CallTraced(to, p, body, n.cfg.RPCTimeout, ti)
 }
 
 // --- descriptor table ---

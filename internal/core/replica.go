@@ -224,8 +224,12 @@ func (n *Node) replicaTrackEvicting(obj gaddr.Addr, from gaddr.NodeID, lease boo
 // installLease installs a piggybacked snapshot of a mutable cacheable object
 // as a local reader lease, or — when a live lease at the same residency epoch
 // is already resident — just extends its expiry (a renewal: the same epoch
-// means the same state, since every write bumps the epoch). state must be
-// owned by the caller. Runs on the installer worker, like installReplica.
+// means the same state, since every write bumps the epoch). A copy whose
+// expiry is zero was revoked or purged: a revoke that found it pinned
+// advanced its epoch without replacing its payload, so the same epoch no
+// longer means the same state. Such a copy is never renewed; a grant at its
+// epoch replaces it through the pin-drain branch. state must be owned by the
+// caller. Runs on the installer worker, like installReplica.
 func (n *Node) installLease(r replicaInstall) {
 	if r.from == n.id || r.epoch == 0 || r.ttl <= 0 {
 		return
@@ -236,9 +240,9 @@ func (n *Node) installLease(r replicaInstall) {
 	expiry := time.Now().UnixNano() + r.ttl
 	// Renewal fast path, and a cheap pre-check before paying for the decode.
 	if d := n.desc(r.obj); d != nil {
-		if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch {
+		if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0 {
 			d.Lock()
-			if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch {
+			if d.State() == stateResident && d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0 {
 				if expiry > d.LeaseExpiry() {
 					d.SetLeaseExpiry(expiry)
 				}
@@ -286,7 +290,7 @@ func (n *Node) installLease(r replicaInstall) {
 	switch d.State() {
 	case stateResident:
 		switch {
-		case d.Lease() && d.Epoch() == r.epoch:
+		case d.Lease() && d.Epoch() == r.epoch && d.LeaseExpiry() != 0:
 			// Renewal that raced the pre-check.
 			if expiry > d.LeaseExpiry() {
 				d.SetLeaseExpiry(expiry)
@@ -294,9 +298,10 @@ func (n *Node) installLease(r replicaInstall) {
 			d.Unlock()
 			n.counts.Inc("lease_renewals")
 			return
-		case d.Lease() && r.epoch > d.Epoch():
-			// A fresher grant replaces the stale copy — but only once no
-			// pinned reader is still executing against the old value.
+		case d.Lease() && r.epoch >= d.Epoch():
+			// A fresher grant, or one at the epoch of a revoked copy,
+			// replaces the stale copy — but only once no pinned reader is
+			// still executing against the old value.
 			// Mark-then-check as everywhere: moving refuses new pins.
 			if pins := d.SetStateLocked(stateMoving); pins > 0 {
 				d.SetStateLocked(stateResident)

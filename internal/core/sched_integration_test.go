@@ -28,7 +28,9 @@ func TestNewAtPlacesObject(t *testing.T) {
 	if _, err := cl.Node(1).Root().Invoke(ref, "Get"); err != nil {
 		t.Fatal(err)
 	}
-	// NewAt to the local node is a pure create.
+	// NewAt to the local node is a pure create. The invoke above leaves a
+	// chain-update oneway trailing behind its reply; let it land first.
+	quiesce(t, cl)
 	before := cl.NetStats().Value("msgs_sent")
 	if _, err := ctx.NewAt(0, &Counter{}); err != nil {
 		t.Fatal(err)

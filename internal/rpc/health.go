@@ -13,8 +13,12 @@ import (
 
 // Per-peer health detection. The design goal is a hot path that costs one
 // atomic load when every peer is healthy: probes are sent only on suspicion
-// (a call timed out, or a forwarder is about to route into a peer), never
-// periodically, and all bookkeeping hides behind the downCount guard.
+// (a call timed out, or a forwarder is about to route into a peer that has
+// sent nothing for longer than the recheck window), never periodically, and
+// the down-mark bookkeeping hides behind the downCount guard. Liveness is
+// otherwise passive: every inbound message stamps its sender's heard-from
+// time (a lock-free map read; an atomic store at most every heardSlack), so
+// a peer that talks to us is never probed.
 //
 // A probe is a ping answered directly from the transport handler with a pong
 // carrying the responder's *generation* — a number chosen at process start.
@@ -73,6 +77,12 @@ type healthState struct {
 	onRestart atomic.Pointer[func(gaddr.NodeID)]
 	onDown    atomic.Pointer[func(gaddr.NodeID)]
 	recheck   time.Duration
+
+	// heard maps each peer to the time its last message arrived (monoNow).
+	// Copy-on-write: the inbound path reads the map without a lock, and
+	// heardMu serializes only the rare insert of a new peer.
+	heard   atomic.Pointer[map[gaddr.NodeID]*heardCell]
+	heardMu sync.Mutex
 }
 
 func (h *healthState) init() {
@@ -140,10 +150,79 @@ func (ep *Endpoint) PeerDown(peer gaddr.NodeID) bool {
 	return down
 }
 
+// monoBase anchors monoNow, a monotonic clock reading that costs one clock
+// read (time.Now reads the wall clock too).
+var monoBase = time.Now()
+
+func monoNow() int64 { return int64(time.Since(monoBase)) }
+
+// heardCell is one peer's last-heard time (monoNow), padded to a cache line
+// of its own: the reader goroutines of different connections stamp their
+// cells on every message.
+type heardCell struct {
+	at atomic.Int64
+	_  [56]byte
+}
+
+// heardSlack is how stale a stamp may grow before an inbound message
+// rewrites it. Skipping the store keeps the cell's cache line shared between
+// the stamping reader and the forwarders reading it, at a precision a
+// hundred times finer than the recheck window needs.
+const heardSlack = 10 * time.Millisecond
+
+// noteHeard records that a message from peer just arrived.
+func (h *healthState) noteHeard(peer gaddr.NodeID) {
+	now := monoNow()
+	if m := h.heard.Load(); m != nil {
+		if c := (*m)[peer]; c != nil {
+			if now-c.at.Load() > int64(heardSlack) {
+				c.at.Store(now)
+			}
+			return
+		}
+	}
+	h.addHeard(peer, now)
+}
+
+// addHeard stamps a peer heard from for the first time (copy-on-write).
+func (h *healthState) addHeard(peer gaddr.NodeID, now int64) {
+	h.heardMu.Lock()
+	defer h.heardMu.Unlock()
+	old := h.heard.Load()
+	next := make(map[gaddr.NodeID]*heardCell)
+	if old != nil {
+		if c := (*old)[peer]; c != nil {
+			c.at.Store(now)
+			return
+		}
+		for p, c := range *old {
+			next[p] = c
+		}
+	}
+	c := new(heardCell)
+	c.at.Store(now)
+	next[peer] = c
+	h.heard.Store(&next)
+}
+
+// WatchSilent probes peer (asynchronously, through WatchPeer) only when it
+// has sent nothing for longer than the recheck window. Forwarders call it
+// on every hop: a peer that has talked to us recently is alive, so a healthy
+// forwarding chain sends no ping/pong.
+func (ep *Endpoint) WatchSilent(peer gaddr.NodeID) {
+	h := &ep.health
+	if m := h.heard.Load(); m != nil {
+		if c := (*m)[peer]; c != nil && monoNow()-c.at.Load() <= int64(h.recheck) {
+			return
+		}
+	}
+	ep.WatchPeer(peer)
+}
+
 // WatchPeer kicks an asynchronous health probe of peer, if one is not
 // already in flight (singleflight) and the last probe is older than the
-// recheck window (rate limit — forwarders call this on every hop). The
-// result lands in the health table, not in the caller's lap.
+// recheck window (rate limit). The result lands in the health table, not in
+// the caller's lap.
 func (ep *Endpoint) WatchPeer(peer gaddr.NodeID) {
 	if peer == ep.Self() {
 		return

@@ -389,8 +389,10 @@ func (ep *Endpoint) sendReply(to gaddr.NodeID, msg *replyMsg) {
 // reply payloads travel onward to the pending caller, who recycles them
 // after decoding.
 func (ep *Endpoint) onMessage(m transport.Message) {
-	// Any inbound traffic proves the sender is alive; only pay the map lookup
-	// while at least one peer is marked down.
+	// Any inbound traffic proves the sender is alive: stamp it for passive
+	// liveness, and clear a down-mark (that map lookup is paid only while at
+	// least one peer is marked down).
+	ep.health.noteHeard(m.From)
 	if ep.health.downCount.Load() != 0 {
 		ep.noteAlive(m.From)
 	}

@@ -224,6 +224,16 @@ bench_allocs() {
 		for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == "allocs/op") { v = $i + 0; if (v > m) m = v }
 	} END { print m + 0 }'
 }
+# bench_metric <raw> <bare-name> <unit>: a ReportMetric extra from the first
+# run of a benchmark (message counts are deterministic; the gate is exact).
+bench_metric() {
+	echo "$1" | awk -v name="$2" -v unit="$3" '$1 ~ "^"name"(-[0-9]+)?$" {
+		for (i = 3; i + 1 <= NF; i += 2) if ($(i+1) == unit) { print $i + 0; exit }
+	}'
+}
+E8_HOPS=3 # perf.ForwardingChains(3): the last row is a 3-hop chain
+E8_CHAIN_MSGS=$(bench_metric "$HEAD_RAW" BenchmarkE8ForwardingChains chain-msgs)
+E8_CACHED_MSGS=$(bench_metric "$HEAD_RAW" BenchmarkE8ForwardingChains cached-msgs)
 REMOTE_ALLOCS=$(bench_allocs "$GATE_RAW" BenchmarkTable1RemoteInvoke)
 LOCAL_ALLOCS=$(bench_allocs "$GATE_RAW" BenchmarkTable1LocalInvoke)
 WARM_ALLOCS=$(bench_allocs "$GATE_RAW" BenchmarkImmutableRemoteInvokeWarm)
@@ -460,5 +470,13 @@ elif awk -v p="$LEASE_WP99_NS" -v r="$REMOTE_NS" 'BEGIN { exit !(p > r * 25.0) }
 	echo "      expiry (lease_fence_timeouts)." >&2
 	FAIL=1
 fi
+if [ "${E8_CHAIN_MSGS:-}" != "$((2 * E8_HOPS + 2))" ] || [ "${E8_CACHED_MSGS:-}" != 2 ]; then
+	echo >&2
+	echo "FAIL: E8 forwarding chain (k=${E8_HOPS}) cost chain-msgs=${E8_CHAIN_MSGS:-?}," >&2
+	echo "      cached-msgs=${E8_CACHED_MSGS:-?}; the paper's cost is exactly" >&2
+	echo "      $((2 * E8_HOPS + 2)) and 2 (EXPERIMENTS E8). Extra messages on a healthy" >&2
+	echo "      chain are usually health probes — check rpc_probes_sent." >&2
+	FAIL=1
+fi
 [ "$FAIL" -eq 0 ] || exit 1
-echo "regression gates passed (local <= ${LOCAL_IMPROVE}x baseline at <= ${LOCAL_ALLOC_LIMIT} allocs/op, remote +5% below ${ALLOC_LIMIT} allocs/op, warm replica/lease <= ${LOCAL_ALLOC_LIMIT} allocs/op, warm <= 2x local, cold <= 1.15x control, heat > static, fan-in >= ${FANIN_MIN}x, lease warm <= 2x immutable warm, fenced-write p99 <= 25x remote)"
+echo "regression gates passed (E8 chain-msgs = $((2 * E8_HOPS + 2)) and cached-msgs = 2 exactly, local <= ${LOCAL_IMPROVE}x baseline at <= ${LOCAL_ALLOC_LIMIT} allocs/op, remote +5% below ${ALLOC_LIMIT} allocs/op, warm replica/lease <= ${LOCAL_ALLOC_LIMIT} allocs/op, warm <= 2x local, cold <= 1.15x control, heat > static, fan-in >= ${FANIN_MIN}x, lease warm <= 2x immutable warm, fenced-write p99 <= 25x remote)"

@@ -24,6 +24,14 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== no sleep-polling in protocol code =="
+# Protocol code waits on a condition (the descriptor's condition variable,
+# a channel, a timer), never on a sleep: DESIGN.md §8.5's wait rule.
+if grep -n 'time\.Sleep' $(ls internal/core/*.go | grep -v '_test\.go$'); then
+	echo "FAIL: time.Sleep in non-test internal/core code" >&2
+	exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -42,9 +50,11 @@ go test -race -count=1 -tags wirepoison ./internal/core/ ./internal/rpc/ ./inter
 echo "== fault suite (crash/partition injection, retry, dedup) =="
 # The failure-domain scenarios are timing-sensitive by nature, so they run a
 # second time under -race with fresh state: seeded injectors make the fault
-# schedules deterministic, and any flake here is a real ordering bug.
+# schedules deterministic, and any flake here is a real ordering bug. The
+# routing-engine tests (the exact E8 message table, entry-point parity, the
+# no-leak storm) and the lease stale-read regression ride along.
 go test -race -count=1 \
-	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger' \
+	-run 'TestFaults|FuzzFaultRules|TestTimeoutClassified|TestRetry|TestIdempotent|TestNonIdempotent|TestGeneration|TestWatchPeer|TestDedup|TestCrash|TestOrphaned|TestForwardingChainRepair|TestThreeNodeCrash|TestSimCrash|TestCapture|TestFleet|TestRetryExhaustedTrigger|TestE8ForwardingChainMessageTable|TestRouteParityAcrossEntryPoints|TestRouteStormNeverLeaksRetrySentinel|TestLeaseRevokedPinnedCopyNeverRenewed' \
 	./internal/transport/ ./internal/rpc/ ./internal/core/ ./internal/sim/
 
 echo "== scheduler stress suite (steal/release/SetPolicy races, starvation) =="
